@@ -19,7 +19,6 @@ package bitonic
 
 import (
 	"oblivjoin/internal/memory"
-	"oblivjoin/internal/obliv"
 )
 
 // Array is the storage a sorting network operates on: indexed element
@@ -58,12 +57,20 @@ func Sort[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T], st *Stats) 
 
 // compareExchangeOp builds the PairOp of a sorting network: order the
 // pair towards dir, touching both elements regardless.
+//
+// The op calls less exactly once. Ascending (dir=1) the pair is out of
+// order when y < x, descending (dir=0) when x < y, so dir only decides
+// which operand goes first. The branch on dir is the one branch of the
+// compare-exchange, and it is public: dir is a Segment field, fixed by
+// the schedule and so a function of the input length alone. Nothing
+// branches on less's result; it goes straight into the masked swap.
 func compareExchangeOp[T any](less LessFunc[T], swap CondSwapFunc[T]) PairOp[T] {
 	return func(_, _ int, dir uint64, x, y *T) {
-		// Ascending (dir=1): out of order when y < x.
-		// Descending (dir=0): out of order when x < y.
-		c := obliv.Select(dir, less(*y, *x), less(*x, *y))
-		swap(c, x, y)
+		lo, hi := x, y
+		if dir == 1 {
+			lo, hi = y, x
+		}
+		swap(less(*lo, *hi), x, y)
 	}
 }
 

@@ -19,6 +19,23 @@ type RangeArray[T any] interface {
 	SetRange(lo int, src []T)
 }
 
+// InPlaceArray is an optional RangeArray extension for stores whose
+// elements live in plain memory. ReadInPlace emits exactly the read
+// events of GetRange over [lo, lo+n) and returns the backing elements
+// themselves; WriteInPlace emits exactly the write events of SetRange
+// over the same range. Between the two calls the executor mutates the
+// returned elements directly, so a batched chunk costs no copy out and
+// no copy back, while the recorded trace (and any cost model charged
+// per element) is the one the buffered path produces. *memory.Array[T],
+// its shards and the windowed views of internal/core over such arrays
+// implement it; sealed and spilled stores do not, and keep the
+// buffered path.
+type InPlaceArray[T any] interface {
+	RangeArray[T]
+	ReadInPlace(lo, n int) []T
+	WriteInPlace(lo, n int)
+}
+
 // Sharder is an optional Array extension that makes concurrent access
 // safe and deterministically traceable. Shard returns an alias of the
 // array (same identifier, same backing storage) whose accesses are
@@ -164,14 +181,34 @@ func (c chunk) comparators() int {
 }
 
 // lane is one worker's execution context: a shard alias of the store, a
-// private event buffer replayed at round barriers, and reusable value
-// blocks for batched compare–exchange.
+// private event buffer replayed at round barriers, and — for stores
+// without in-place access — reusable value blocks for batched
+// compare–exchange.
 type lane[T any] struct {
 	arr        Array[T]
-	rng        RangeArray[T] // arr as RangeArray, or nil
-	buf        *trace.Buffer // nil when the store is untraced
-	bufX, bufY []T           // pair-form blocks (chunkSize each)
-	bufS       []T           // span-form block (spanChunk)
+	inPlace    InPlaceArray[T] // arr as InPlaceArray, or nil
+	rng        RangeArray[T]   // arr as RangeArray, or nil
+	buf        *trace.Buffer   // nil when the store is untraced
+	bufX, bufY []T             // pair-form blocks (chunkSize each)
+	bufS       []T             // span-form block (spanChunk)
+}
+
+// newLane builds a lane over arr. The value blocks are allocated only
+// when the lane batches through a copy: in-place lanes run the ops on
+// the store's own elements, and element-loop lanes need no blocks for
+// pair chunks but do buffer span chunks.
+func newLane[T any](arr Array[T], rng RangeArray[T], buf *trace.Buffer) lane[T] {
+	l := lane[T]{arr: arr, rng: rng, buf: buf}
+	if ip, ok := arr.(InPlaceArray[T]); ok {
+		l.inPlace = ip
+		return l
+	}
+	if rng != nil {
+		l.bufX = make([]T, chunkSize)
+		l.bufY = make([]T, chunkSize)
+	}
+	l.bufS = make([]T, spanChunk)
+	return l
 }
 
 // roundExec executes rounds of disjoint comparator segments over one
@@ -198,7 +235,8 @@ func newRoundExec[T any](a Array[T], op PairOp[T], workers int, check func()) *r
 	}
 	ex := &roundExec[T]{op: op, workers: workers, check: check}
 	baseRng, _ := a.(RangeArray[T])
-	ex.seq = lane[T]{arr: a, rng: baseRng}
+	// The direct lane also serves single-chunk rounds in parallel mode.
+	ex.seq = newLane(a, baseRng, nil)
 	if workers > 1 {
 		ex.lanes = makeLanes(a, baseRng != nil, workers)
 		if ex.lanes == nil {
@@ -207,11 +245,6 @@ func newRoundExec[T any](a Array[T], op PairOp[T], workers int, check func()) *r
 			ex.rec = a.(Sharder).Recorder()
 		}
 	}
-	// The direct lane also serves single-chunk rounds in parallel mode,
-	// so it always needs its value blocks.
-	ex.seq.bufX = make([]T, chunkSize)
-	ex.seq.bufY = make([]T, chunkSize)
-	ex.seq.bufS = make([]T, spanChunk)
 	return ex
 }
 
@@ -248,11 +281,7 @@ func makeLanes[T any](a Array[T], wantRange bool, workers int) []lane[T] {
 		if !wantRange {
 			rng = nil
 		}
-		lanes[w] = lane[T]{
-			arr: arr, rng: rng, buf: buf,
-			bufX: make([]T, chunkSize), bufY: make([]T, chunkSize),
-			bufS: make([]T, spanChunk),
-		}
+		lanes[w] = newLane(arr, rng, buf)
 	}
 	return lanes
 }
@@ -360,7 +389,8 @@ func (ex *roundExec[T]) runRound(segs []Segment) {
 // pattern — R-run(span), W-run(span) for span chunks; R-run(low side),
 // R-run(high side), W-run(low side), W-run(high side) for pair chunks;
 // or the interleaved per-pair pattern on stores without range support —
-// is a function of the chunk alone.
+// is a function of the chunk alone. In-place stores emit the batched
+// pattern too; only the copies are gone.
 func (l *lane[T]) runChunk(op PairOp[T], c chunk) {
 	if c.span != nil {
 		l.runSpan(op, c)
@@ -368,6 +398,18 @@ func (l *lane[T]) runChunk(op PairOp[T], c chunk) {
 	}
 	loX := c.seg.Lo + c.off
 	loY := loX + c.seg.Hop
+	if l.inPlace != nil {
+		// The two sides are disjoint (Hop ≥ Cnt), so working on the
+		// backing elements directly is the buffered computation.
+		x := l.inPlace.ReadInPlace(loX, c.cnt)
+		y := l.inPlace.ReadInPlace(loY, c.cnt)
+		for k := range x {
+			op(loX+k, loY+k, c.seg.Dir, &x[k], &y[k])
+		}
+		l.inPlace.WriteInPlace(loX, c.cnt)
+		l.inPlace.WriteInPlace(loY, c.cnt)
+		return
+	}
 	if l.rng != nil {
 		x, y := l.bufX[:c.cnt], l.bufY[:c.cnt]
 		l.rng.GetRange(loX, x)
@@ -392,6 +434,11 @@ func (l *lane[T]) runChunk(op PairOp[T], c chunk) {
 // entry range, every segment's compare–exchanges in local memory, one
 // contiguous write back.
 func (l *lane[T]) runSpan(op PairOp[T], c chunk) {
+	if l.inPlace != nil {
+		spanOps(op, c, l.inPlace.ReadInPlace(c.lo, c.n))
+		l.inPlace.WriteInPlace(c.lo, c.n)
+		return
+	}
 	buf := l.bufS[:c.n]
 	if l.rng != nil {
 		l.rng.GetRange(c.lo, buf)
@@ -400,17 +447,23 @@ func (l *lane[T]) runSpan(op PairOp[T], c chunk) {
 			buf[k] = l.arr.Get(c.lo + k)
 		}
 	}
-	for _, s := range c.span {
-		base := s.Lo - c.lo
-		for k := 0; k < s.Cnt; k++ {
-			op(s.Lo+k, s.Lo+s.Hop+k, s.Dir, &buf[base+k], &buf[base+s.Hop+k])
-		}
-	}
+	spanOps(op, c, buf)
 	if l.rng != nil {
 		l.rng.SetRange(c.lo, buf)
 	} else {
 		for k := range buf {
 			l.arr.Set(c.lo+k, buf[k])
+		}
+	}
+}
+
+// spanOps runs every compare–exchange of span chunk c over buf, which
+// holds the chunk's entries [c.lo, c.lo+c.n).
+func spanOps[T any](op PairOp[T], c chunk, buf []T) {
+	for _, s := range c.span {
+		base := s.Lo - c.lo
+		for k := 0; k < s.Cnt; k++ {
+			op(s.Lo+k, s.Lo+s.Hop+k, s.Dir, &buf[base+k], &buf[base+s.Hop+k])
 		}
 	}
 }

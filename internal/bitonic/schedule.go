@@ -47,7 +47,7 @@ func bitonicRounds(n int, round func([]Segment)) {
 	levels := [][]span{{{lo: 0, n: n, dir: 1}}}
 	for {
 		last := levels[len(levels)-1]
-		var next []span
+		next := make([]span, 0, 2*len(last))
 		for _, t := range last {
 			if t.n <= 1 {
 				continue
@@ -63,9 +63,11 @@ func bitonicRounds(n int, round func([]Segment)) {
 	// A node's merge runs after its children's sorts complete, so the
 	// merges execute from the deepest level up. All merges of one level
 	// cover disjoint ranges and advance round-by-round together.
-	var segs []Segment
-	active := make([]span, 0, n)
-	next := make([]span, 0, n)
+	// Every active span covers at least two entries, so at most n/2 are
+	// active at once, each contributing one segment per round.
+	segs := make([]Segment, 0, n/2)
+	active := make([]span, 0, n/2)
+	next := make([]span, 0, n/2)
 	for d := len(levels) - 1; d >= 0; d-- {
 		active = active[:0]
 		for _, t := range levels[d] {

@@ -33,8 +33,8 @@ func AugmentTables(cfg *Config, rows1, rows2 []table.Row) (tc table.Store, t1, t
 	m = fillDimensions(cfg, tc)
 	cfg.SortStore(tc, table.LessTIDJD, &st.AugmentSort)
 
-	t1 = view{s: tc, off: 0, size: n1}
-	t2 = view{s: tc, off: n1, size: n2}
+	t1 = window(tc, 0, n1)
+	t2 = window(tc, n1, n2)
 	return tc, t1, t2, m
 }
 
@@ -135,8 +135,8 @@ func AugmentTablesFeed2(cfg *Config, feed1, feed2 RowFeed) (tc table.Store, t1, 
 	m = fillDimensions(cfg, tc)
 	cfg.SortStore(tc, table.LessTIDJD, &st.AugmentSort)
 
-	t1 = view{s: tc, off: 0, size: n1}
-	t2 = view{s: tc, off: n1, size: n2}
+	t1 = window(tc, 0, n1)
+	t2 = window(tc, n1, n2)
 	return tc, t1, t2, m, nil
 }
 

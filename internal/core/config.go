@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"oblivjoin/internal/bitonic"
+	"oblivjoin/internal/memory"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/trace"
 )
@@ -107,6 +108,9 @@ func (c *Config) ReleaseStore(st table.Store) {
 	// Unwrap windowed aliases: releasing a view means releasing the
 	// store it windows (a view never outlives its phase).
 	for {
+		if v, ok := st.(inPlaceView); ok {
+			st = v.view
+		}
 		v, ok := st.(view)
 		if !ok {
 			break
@@ -219,30 +223,24 @@ func (c *Config) SortStore(st table.Store, less bitonic.LessFunc[table.Entry], b
 	bitonic.SortParallelCheck[table.Entry](st, less, table.CondSwapEntry, bs, w, check)
 }
 
-// pairArray adapts a plain KeyedPair slice to the sorting networks'
-// Array interface. Pair relations travel between operators as plain
-// slices (their per-element access pattern is already fixed by the
-// networks' schedules), so no store allocation is involved.
-type pairArray []table.KeyedPair
-
-func (p pairArray) Len() int                     { return len(p) }
-func (p pairArray) Get(i int) table.KeyedPair    { return p[i] }
-func (p pairArray) Set(i int, v table.KeyedPair) { p[i] = v }
-
 // SortPairs runs the configured sorting network over a KeyedPair slice
 // in place, at the configured parallelism, with cancellation probes at
 // the round barriers. Comparator counts land in bs (nil to skip). The
 // canonicalize stage of a reordered join chain sorts through this, so
 // its network choice, parallelism and instrumentation match the rest of
-// the pipeline.
+// the pipeline. Pair relations travel between operators as plain
+// slices (their per-element access pattern is already fixed by the
+// networks' schedules), so the slice is wrapped as an untraced array,
+// which runs the rounds in place and across lanes.
 func (c *Config) SortPairs(pairs []table.KeyedPair, less bitonic.LessFunc[table.KeyedPair], bs *bitonic.Stats) {
 	w := c.workerCount()
 	check := c.checkFn()
+	a := memory.FromSlice(memory.NewSpace(nil, nil), pairs, 8+table.PairSize)
 	if c.Net == MergeExchange {
-		bitonic.MergeExchangeSortParallelCheck[table.KeyedPair](pairArray(pairs), less, table.CondSwapKeyedPair, bs, w, check)
+		bitonic.MergeExchangeSortParallelCheck[table.KeyedPair](a, less, table.CondSwapKeyedPair, bs, w, check)
 		return
 	}
-	bitonic.SortParallelCheck[table.KeyedPair](pairArray(pairs), less, table.CondSwapKeyedPair, bs, w, check)
+	bitonic.SortParallelCheck[table.KeyedPair](a, less, table.CondSwapKeyedPair, bs, w, check)
 }
 
 func (c *Config) stats() *Stats {
@@ -256,7 +254,8 @@ func (c *Config) stats() *Stats {
 // and T2 as two regions of the same array (§6.2's space accounting
 // depends on this). It forwards the optional range and sharding
 // capabilities of its underlying store so windowed tables still ride
-// the batched/parallel paths.
+// the batched/parallel paths; build one with window, which adds the
+// in-place capability where the store has it.
 type view struct {
 	s    table.Store
 	off  int
@@ -311,5 +310,29 @@ func (v view) Shard(rec trace.Recorder) any {
 	if !ok {
 		return nil
 	}
-	return view{s: st, off: v.off, size: v.size}
+	return window(st, v.off, v.size)
 }
+
+// window returns the view [off, off+size) of s. Over a store with
+// in-place access (plain memory) the view forwards that capability
+// too, so the sorts over the split tables skip the block copies.
+func window(s table.Store, off, size int) table.Store {
+	v := view{s: s, off: off, size: size}
+	if ip, ok := s.(bitonic.InPlaceArray[table.Entry]); ok {
+		return inPlaceView{view: v, ip: ip}
+	}
+	return v
+}
+
+// inPlaceView is a view over a store with in-place access; it forwards
+// bitonic.InPlaceArray with the window's offset.
+type inPlaceView struct {
+	view
+	ip bitonic.InPlaceArray[table.Entry]
+}
+
+// ReadInPlace implements bitonic.InPlaceArray.
+func (v inPlaceView) ReadInPlace(lo, n int) []table.Entry { return v.ip.ReadInPlace(v.off+lo, n) }
+
+// WriteInPlace implements bitonic.InPlaceArray.
+func (v inPlaceView) WriteInPlace(lo, n int) { v.ip.WriteInPlace(v.off+lo, n) }

@@ -52,7 +52,7 @@ func ExtObliviousDistribute(cfg *Config, x table.Store, m int) table.Store {
 	if l == m {
 		return a
 	}
-	return view{s: a, off: 0, size: m}
+	return window(a, 0, m)
 }
 
 // routeDown performs the O(L log L) hop loop of Algorithm 3 over the
@@ -145,7 +145,7 @@ func prpDistribute(cfg *Config, x table.Store, m int) table.Store {
 	cfg.SortStore(a, lessII, &st.DistributeSort)
 	st.TDistSort += time.Since(t0)
 
-	return view{s: a, off: 0, size: m}
+	return window(a, 0, m)
 }
 
 func lessII(x, y table.Entry) uint64 { return obliv.Less(x.II, y.II) }

@@ -114,6 +114,27 @@ func (a *Array[T]) SetRange(lo int, src []T) {
 	copy(a.data[lo:lo+len(src)], src)
 }
 
+// ReadInPlace emits exactly the read events of GetRange over
+// [lo, lo+n) and returns the backing elements of that range instead of
+// a copy. The caller may mutate them in place and must then call
+// WriteInPlace over the same range, which emits the write events
+// SetRange would: the recorded trace and the cost model's charges are
+// those of the GetRange/SetRange pair, without the two copies. Only
+// executors whose access schedule is already fixed (the round executor
+// of internal/bitonic) use it; the returned slice is capped at n
+// elements so it cannot reach past the range.
+func (a *Array[T]) ReadInPlace(lo, n int) []T {
+	a.touchRange(trace.Read, lo, n)
+	return a.data[lo : lo+n : lo+n]
+}
+
+// WriteInPlace emits exactly the write events of SetRange over
+// [lo, lo+n), for elements the caller already updated through
+// ReadInPlace.
+func (a *Array[T]) WriteInPlace(lo, n int) {
+	a.touchRange(trace.Write, lo, n)
+}
+
 func (a *Array[T]) touchRange(op trace.Op, lo, n int) {
 	// An explicit length check: slice expressions only bound against
 	// capacity, which after a truncating Resize would let an

@@ -201,6 +201,9 @@ func TestBlockEncryptedAlloc(t *testing.T) {
 // must not allocate per range call in steady state (untraced spaces;
 // traced runs append to the recorder, whose growth is the recorder's).
 func TestStoreRangeOpsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
 	c := newCipher(t)
 	const n = 256
 	buf := make([]Entry, 96)

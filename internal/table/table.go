@@ -111,7 +111,7 @@ func DataString(d Data) string {
 // of both entries is touched regardless of c.
 func CondSwapEntry(c uint64, x, y *Entry) {
 	obliv.CondSwap(c, &x.J, &y.J)
-	obliv.CondSwapBytes(c, x.D[:], y.D[:])
+	CondSwapData(c, &x.D, &y.D)
 	obliv.CondSwap(c, &x.TID, &y.TID)
 	obliv.CondSwap(c, &x.A1, &y.A1)
 	obliv.CondSwap(c, &x.A2, &y.A2)
@@ -124,7 +124,7 @@ func CondSwapEntry(c uint64, x, y *Entry) {
 // its own value when c == 0.
 func CondCopyEntry(c uint64, dst *Entry, src *Entry) {
 	obliv.CondCopy(c, &dst.J, src.J)
-	obliv.CondCopyBytes(c, dst.D[:], src.D[:])
+	CondCopyData(c, &dst.D, &src.D)
 	obliv.CondCopy(c, &dst.TID, src.TID)
 	obliv.CondCopy(c, &dst.A1, src.A1)
 	obliv.CondCopy(c, &dst.A2, src.A2)
@@ -133,48 +133,88 @@ func CondCopyEntry(c uint64, dst *Entry, src *Entry) {
 	obliv.CondCopy(c, &dst.Null, src.Null)
 }
 
-// lexLess chains strict-less/equal pairs into a lexicographic strict-less,
-// entirely branch-free: lt₁ ∨ (eq₁ ∧ lt₂) ∨ (eq₁ ∧ eq₂ ∧ lt₃) …
-func lexLess(pairs ...[2]uint64) uint64 {
-	var lt uint64
-	eqSoFar := uint64(1)
-	for _, p := range pairs {
-		lt = obliv.Or(lt, obliv.And(eqSoFar, p[0]))
-		eqSoFar = obliv.And(eqSoFar, p[1])
-	}
-	return lt
+// The payload helpers below treat a Data as two 64-bit words. For
+// ordering the words are read big-endian: comparing the big-endian
+// words (high word first) is exactly byte-lexicographic comparison of
+// the 16 bytes, so every payload order in the repository is
+// bytes.Compare order. Moves use the native byte order, since only
+// the bits matter. Each helper reads and writes both words of both
+// operands whatever the outcome, and decides with masks, never with a
+// branch.
+
+// dataWords returns the payload's big-endian high and low words.
+func dataWords(d *Data) (hi, lo uint64) {
+	return binary.BigEndian.Uint64(d[:8]), binary.BigEndian.Uint64(d[8:])
 }
 
-func eqData(a, b *Data) uint64 { return obliv.EqBytes(a[:], b[:]) }
+// LessData reports, in constant time, whether a orders strictly before
+// b byte-lexicographically (1) or not (0).
+func LessData(a, b *Data) uint64 {
+	ah, al := dataWords(a)
+	bh, bl := dataWords(b)
+	return obliv.Less(ah, bh) | obliv.Eq(ah, bh)&obliv.Less(al, bl)
+}
 
-func lessData(a, b *Data) uint64 { return obliv.LessBytes(a[:], b[:]) }
+// EqData reports, in constant time, whether a and b are identical.
+func EqData(a, b *Data) uint64 {
+	ah, al := dataWords(a)
+	bh, bl := dataWords(b)
+	return obliv.Eq((ah^bh)|(al^bl), 0)
+}
+
+// CondSwapData swaps the payloads x and y when c == 1. Both words of
+// both payloads are read and written regardless of c.
+func CondSwapData(c uint64, x, y *Data) {
+	m := -c
+	x0, x1 := binary.LittleEndian.Uint64(x[:8]), binary.LittleEndian.Uint64(x[8:])
+	y0, y1 := binary.LittleEndian.Uint64(y[:8]), binary.LittleEndian.Uint64(y[8:])
+	t0, t1 := (x0^y0)&m, (x1^y1)&m
+	binary.LittleEndian.PutUint64(x[:8], x0^t0)
+	binary.LittleEndian.PutUint64(x[8:], x1^t1)
+	binary.LittleEndian.PutUint64(y[:8], y0^t0)
+	binary.LittleEndian.PutUint64(y[8:], y1^t1)
+}
+
+// CondCopyData copies src into dst when c == 1; when c == 0 it rewrites
+// dst with its own contents.
+func CondCopyData(c uint64, dst, src *Data) {
+	m := -c
+	d0, d1 := binary.LittleEndian.Uint64(dst[:8]), binary.LittleEndian.Uint64(dst[8:])
+	s0, s1 := binary.LittleEndian.Uint64(src[:8]), binary.LittleEndian.Uint64(src[8:])
+	binary.LittleEndian.PutUint64(dst[:8], s0&m|d0&^m)
+	binary.LittleEndian.PutUint64(dst[8:], s1&m|d1&^m)
+}
+
+// lex2 and lex3 chain per-key strict-less (lt) and equality (eq) bits
+// into a lexicographic strict-less, branch-free:
+//
+//	lex2 = lt₁ | eq₁&lt₂
+//	lex3 = lt₁ | eq₁&(lt₂ | eq₂&lt₃)
+//
+// The last key needs no equality bit.
+func lex2(lt1, eq1, lt2 uint64) uint64 { return lt1 | eq1&lt2 }
+
+func lex3(lt1, eq1, lt2, eq2, lt3 uint64) uint64 { return lt1 | eq1&(lt2|eq2&lt3) }
 
 // LessJTID orders by ⟨j↑, tid↑⟩ — the first sort of Augment-Tables
 // (Algorithm 2, line 3).
 func LessJTID(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{obliv.Less(x.TID, y.TID), obliv.Eq(x.TID, y.TID)},
-	)
+	return lex2(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), obliv.Less(x.TID, y.TID))
 }
 
 // LessTIDJD orders by ⟨tid↑, j↑, d↑⟩ — the second sort of Augment-Tables
 // (Algorithm 2, line 5), which separates the two tables again.
 func LessTIDJD(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.TID, y.TID), obliv.Eq(x.TID, y.TID)},
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{lessData(&x.D, &y.D), eqData(&x.D, &y.D)},
-	)
+	return lex3(
+		obliv.Less(x.TID, y.TID), obliv.Eq(x.TID, y.TID),
+		obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J),
+		LessData(&x.D, &y.D))
 }
 
 // LessJD orders by ⟨j↑, d↑⟩ — the natural row order used by the
 // relational operators (distinct, union, sorting output).
 func LessJD(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{lessData(&x.D, &y.D), eqData(&x.D, &y.D)},
-	)
+	return lex2(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), LessData(&x.D, &y.D))
 }
 
 // LessF orders by ⟨f↑⟩ — the sort inside Oblivious-Distribute
@@ -187,18 +227,12 @@ func LessF(x, y Entry) uint64 {
 // distribute (Algorithm 4, line 26): non-null entries first, ordered by
 // their destination index; ∅ entries last.
 func LessNullF(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.Null, y.Null), obliv.Eq(x.Null, y.Null)},
-		[2]uint64{obliv.Less(x.F, y.F), obliv.Eq(x.F, y.F)},
-	)
+	return lex2(obliv.Less(x.Null, y.Null), obliv.Eq(x.Null, y.Null), obliv.Less(x.F, y.F))
 }
 
 // LessJII orders by ⟨j↑, ii↑⟩ — the alignment sort (Algorithm 5, line 8).
 func LessJII(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{obliv.Less(x.II, y.II), obliv.Eq(x.II, y.II)},
-	)
+	return lex2(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), obliv.Less(x.II, y.II))
 }
 
 // Pair is one output row of the join: the data attributes of a matching
@@ -225,19 +259,18 @@ type KeyedPair struct {
 // canonical row order of a multi-way join chain. Branch-free, so a
 // sorting network over pairs stays data-oblivious.
 func LessKeyedPair(x, y KeyedPair) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{lessData(&x.D1, &y.D1), eqData(&x.D1, &y.D1)},
-		[2]uint64{lessData(&x.D2, &y.D2), eqData(&x.D2, &y.D2)},
-	)
+	return lex3(
+		obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J),
+		LessData(&x.D1, &y.D1), EqData(&x.D1, &y.D1),
+		LessData(&x.D2, &y.D2))
 }
 
 // CondSwapKeyedPair swaps x and y in constant time when c == 1. Every
 // field of both pairs is touched regardless of c.
 func CondSwapKeyedPair(c uint64, x, y *KeyedPair) {
 	obliv.CondSwap(c, &x.J, &y.J)
-	obliv.CondSwapBytes(c, x.D1[:], y.D1[:])
-	obliv.CondSwapBytes(c, x.D2[:], y.D2[:])
+	CondSwapData(c, &x.D1, &y.D1)
+	CondSwapData(c, &x.D2, &y.D2)
 }
 
 // Row is the external representation of an input row, used by loaders

@@ -177,12 +177,16 @@ func TestComparatorsAreStrict(t *testing.T) {
 	// A strict weak order must be irreflexive under every comparator.
 	e := entryFixture()
 	for name, less := range map[string]func(x, y Entry) uint64{
-		"LessJTID": LessJTID, "LessTIDJD": LessTIDJD,
+		"LessJTID": LessJTID, "LessTIDJD": LessTIDJD, "LessJD": LessJD,
 		"LessF": LessF, "LessNullF": LessNullF, "LessJII": LessJII,
 	} {
 		if less(e, e) != 0 {
 			t.Errorf("%s(e, e) != 0", name)
 		}
+	}
+	p := KeyedPair{J: 7, D1: MustData("left"), D2: MustData("right")}
+	if LessKeyedPair(p, p) != 0 {
+		t.Error("LessKeyedPair(p, p) != 0")
 	}
 }
 
