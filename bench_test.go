@@ -254,15 +254,15 @@ var sink uint64
 // (§6.2's parallelization note).
 func BenchmarkAblationParallelJoin(b *testing.B) {
 	t1, t2 := workload.MatchingPairs(65536)
-	for _, par := range []bool{false, true} {
+	for _, workers := range []int{1, -1} {
 		name := "sequential"
-		if par {
+		if workers != 1 {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sp := memory.NewSpace(nil, nil)
-				core.Join(&core.Config{Alloc: table.PlainAlloc(sp), Parallel: par}, t1, t2)
+				core.Join(&core.Config{Alloc: table.PlainAlloc(sp), Workers: workers}, t1, t2)
 			}
 		})
 	}

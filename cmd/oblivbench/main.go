@@ -36,10 +36,10 @@
 // plan pipeline plus the planner's written-versus-greedy comparator
 // records, BENCH_sql.json; planner prints just the comparator table
 // without touching the JSON), sealed (plain vs per-entry sealed
-// vs block-sealed storage, BENCH_sealed.json) and stream (stage-at-a-
-// time vs block-granular streaming peak memory, BENCH_stream.json) are
-// opt-in: they run only with an explicit -exp name, never under
-// -exp all.
+// vs block-sealed storage, BENCH_sealed.json) and stream (streaming
+// peak memory and wall time with and without a result sink,
+// BENCH_stream.json) are opt-in: they run only with an explicit -exp
+// name, never under -exp all.
 //
 // fault measures the fault-injection seam's fault-free overhead
 // (direct OS IO vs a disarmed injector on the WAL-commit and spill

@@ -103,7 +103,6 @@ func main() {
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline covering queue wait + execution (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "bound tracked per-query memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
 	spillDir := flag.String("spill-dir", "", "directory for sealed spill files (default: system temp)")
-	materialized := flag.Bool("materialized", false, "use the stage-at-a-time executor instead of the streaming default")
 	shards := flag.Int("shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
 	header := flag.Bool("header", false, "CSV files start with a header row")
 	demo := flag.Int("demo", 0, "register demo tables t1, t2, t3 with this many rows")
@@ -148,9 +147,6 @@ func main() {
 	}
 	if *spillDir != "" {
 		opts = append(opts, oblivjoin.WithSpillDir(*spillDir))
-	}
-	if *materialized {
-		opts = append(opts, oblivjoin.WithMaterialized())
 	}
 	if *shards > 1 {
 		opts = append(opts, oblivjoin.WithShards(*shards))

@@ -57,7 +57,6 @@ func main() {
 	traceHash := flag.Bool("tracehash", false, "also compute the SHA-256 access-pattern digest (implies -stats)")
 	memBudget := flag.Int64("mem-budget", 0, "bound tracked run memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
 	spillDir := flag.String("spill-dir", "", "directory for sealed spill files (default: system temp)")
-	materialized := flag.Bool("materialized", false, "use the stage-at-a-time executor instead of the streaming default")
 	shards := flag.Int("shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (sealed WAL + snapshots): query persisted tables, including AS OF versions")
 	replace := flag.Bool("replace", false, "-t overwrites an existing durable table instead of failing")
@@ -98,9 +97,6 @@ func main() {
 	}
 	if *spillDir != "" {
 		opts = append(opts, oblivjoin.WithSpillDir(*spillDir))
-	}
-	if *materialized {
-		opts = append(opts, oblivjoin.WithMaterialized())
 	}
 	if *shards > 1 {
 		opts = append(opts, oblivjoin.WithShards(*shards))

@@ -108,16 +108,6 @@ func WithSpillDir(dir string) EngineOption {
 	return func(c *service.Config) { c.Defaults.SpillDir = dir }
 }
 
-// WithMaterialized restores the stage-at-a-time executor, where every
-// operator hand-off is a whole relation. The default is the streaming
-// executor: block-granular batches between stages and eager release of
-// drained intermediates, bounding peak memory by the widest adjacent
-// stages instead of the sum of all intermediates. Results, comparator
-// counts and canonical trace hashes are identical either way.
-func WithMaterialized() EngineOption {
-	return func(c *service.Config) { c.Defaults.Materialized = true }
-}
-
 // WithStreamBatch sets the streaming executor's hand-off granularity
 // in rows (0 selects the default), rounded up to a multiple of the
 // sealed block width so batches align with ciphertext blocks.

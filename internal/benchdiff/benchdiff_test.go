@@ -338,7 +338,7 @@ func TestAgainstCommittedBaseline(t *testing.T) {
 		{"BENCH_sql.json", []int{4, 5}},
 		{"BENCH_sealed.json", []int{6}},
 		{"BENCH_service.json", []int{4}},
-		{"BENCH_stream.json", []int{8}},
+		{"BENCH_stream.json", []int{5}},
 		{"BENCH_shard.json", []int{3}},
 		{"BENCH_wal.json", []int{2}},
 		{"BENCH_fault.json", []int{2}},

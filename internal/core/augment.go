@@ -5,45 +5,13 @@ import (
 	"oblivjoin/internal/table"
 )
 
-// AugmentTables implements Algorithm 2: it concatenates the two input
-// tables (tagged with table IDs), sorts by ⟨j, tid⟩, computes the group
-// dimensions α1 and α2 with one forward and one backward linear pass
-// (Fill-Dimensions, Figure 2), re-sorts by ⟨tid, j, d⟩ and returns the
-// combined store together with views of the two augmented tables and the
-// output size m = Σ α1·α2 over groups.
-//
-// The returned m is public: the paper's algorithm deliberately reveals
-// the output length rather than padding to the quadratic worst case
-// (§3.2, "Revealing Output Length").
+// AugmentTables is AugmentTablesFeed2 over two in-memory tables.
 func AugmentTables(cfg *Config, rows1, rows2 []table.Row) (tc table.Store, t1, t2 table.Store, m int) {
-	st := cfg.stats()
-	n1, n2 := len(rows1), len(rows2)
-	n := n1 + n2
-	tc = cfg.Alloc(n)
-	load := make([]table.Entry, n)
-	for i, r := range rows1 {
-		load[i] = table.Entry{J: r.J, D: r.D, TID: 1}
-	}
-	for i, r := range rows2 {
-		load[n1+i] = table.Entry{J: r.J, D: r.D, TID: 2}
-	}
-	storeRange(tc, 0, load)
-
-	cfg.SortStore(tc, table.LessJTID, &st.AugmentSort)
-	m = fillDimensions(cfg, tc)
-	cfg.SortStore(tc, table.LessTIDJD, &st.AugmentSort)
-
-	t1 = window(tc, 0, n1)
-	t2 = window(tc, n1, n2)
+	tc, t1, t2, m, err := AugmentTablesFeed2(cfg, RowsFeed(rows1), RowsFeed(rows2))
+	mustRowsFeed(err)
 	return tc, t1, t2, m
 }
 
-// fillDimensions computes α1 and α2 for every entry of tc, which must be
-// sorted by ⟨j, tid⟩, and returns the total output size m. Each
-// direction is one carry scan — one read and one write per index,
-// executed by the blocked scan engine (scan.go) so the store traffic
-// batches and parallelizes; all data-dependent state lives in a
-// constant number of local variables and is manipulated branch-free.
 // RowFeed supplies one table's rows batch-wise: Len is the public total
 // row count, Next returns the next batch (the slice may be reused
 // between calls; nil at end of stream) and Close releases whatever the
@@ -57,10 +25,18 @@ type RowFeed interface {
 }
 
 // RowsFeed adapts an in-memory row slice to the RowFeed contract: one
-// batch holding every row, then end of stream. It is how the
-// materialized call paths reuse the feed-shaped pipeline entry points
-// (and emits no events of its own, matching a staged slice exactly).
+// batch holding every row, then end of stream. It emits no events of
+// its own, so the slice entry points (Join, JoinKeyed, AugmentTables)
+// run the feed pipeline unchanged.
 func RowsFeed(rows []table.Row) RowFeed { return &sliceFeed{rows: rows} }
+
+// mustRowsFeed asserts that a pipeline run over RowsFeed inputs, which
+// never fail, returned no error.
+func mustRowsFeed(err error) {
+	if err != nil {
+		panic("core: in-memory row feed failed: " + err.Error())
+	}
+}
 
 type sliceFeed struct {
 	rows []table.Row
@@ -95,21 +71,23 @@ func drainInto(bld *table.Builder, feed RowFeed, tid uint64) error {
 	}
 }
 
-// AugmentTablesFeed is AugmentTables with the left table supplied
-// batch-wise; see AugmentTablesFeed2 for the trace-equivalence
-// argument (a slice is just a one-batch feed).
-func AugmentTablesFeed(cfg *Config, feed RowFeed, rows2 []table.Row) (tc table.Store, t1, t2 table.Store, m int, err error) {
-	return AugmentTablesFeed2(cfg, feed, RowsFeed(rows2))
-}
-
-// AugmentTablesFeed2 is AugmentTables with both tables supplied
-// batch-wise: batches append straight into TC through a table.Builder,
-// so neither side's staging slice of the materialized variant ever
-// exists — the join barrier consumes both pre-join scans incrementally
-// in sealed-block batches. Trace equivalence: the builder emits the
-// same ascending per-entry write events over [0, n1+n2), deferred
-// behind any upstream drain reads, so the canonical trace matches a
-// materialized run's bit for bit.
+// AugmentTablesFeed2 implements Algorithm 2 over two batch-wise row
+// feeds: it concatenates the two input tables (tagged with table IDs),
+// sorts by ⟨j, tid⟩, computes the group dimensions α1 and α2 with one
+// forward and one backward linear pass (Fill-Dimensions, Figure 2),
+// re-sorts by ⟨tid, j, d⟩ and returns the combined store together with
+// views of the two augmented tables and the output size m = Σ α1·α2
+// over groups.
+//
+// Batches append straight into TC through a table.Builder, so neither
+// side is ever staged as a whole-relation slice. The builder emits the
+// ascending per-entry write events over [0, n1+n2), deferred behind any
+// upstream drain reads, so the trace depends on n1 and n2 only, never
+// on how the feeds batch their rows; TestCanonicalTracePinned pins it.
+//
+// The returned m is public: the paper's algorithm deliberately reveals
+// the output length rather than padding to the quadratic worst case
+// (§3.2, "Revealing Output Length").
 func AugmentTablesFeed2(cfg *Config, feed1, feed2 RowFeed) (tc table.Store, t1, t2 table.Store, m int, err error) {
 	st := cfg.stats()
 	n1, n2 := feed1.Len(), feed2.Len()
@@ -140,6 +118,12 @@ func AugmentTablesFeed2(cfg *Config, feed1, feed2 RowFeed) (tc table.Store, t1, 
 	return tc, t1, t2, m, nil
 }
 
+// fillDimensions computes α1 and α2 for every entry of tc, which must be
+// sorted by ⟨j, tid⟩, and returns the total output size m. Each
+// direction is one carry scan — one read and one write per index,
+// executed by the blocked scan engine (scan.go) so the store traffic
+// batches and parallelizes; all data-dependent state lives in a
+// constant number of local variables and is manipulated branch-free.
 func fillDimensions(cfg *Config, tc table.Store) int {
 	// Forward pass: store incremental counts. Within a group (a run of
 	// equal j), entries from T1 precede entries from T2; c1 counts T1

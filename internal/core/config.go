@@ -55,13 +55,12 @@ type Config struct {
 	// wall times (the Table 3 instrumentation). Counting is
 	// parallel-safe: comparator and route-op totals are accumulated
 	// deterministically at round barriers, so Stats composes with
-	// Workers/Parallel and reports identical counts at every
-	// parallelism degree.
+	// Workers and reports identical counts at every parallelism degree.
 	Stats *Stats
 	// Workers sets the parallelism of the sorting networks, the routing
 	// network and the linear scans: > 1 partitions each execution round
-	// across that many lanes of a persistent worker pool, 1 (or 0 with
-	// Parallel unset) runs sequentially, and < 0 uses GOMAXPROCS. Every
+	// across that many lanes of a persistent worker pool, 1 or 0 runs
+	// sequentially, and < 0 uses GOMAXPROCS. Every
 	// phase executes the same round schedule at every parallelism
 	// degree, and traced runs merge per-lane event shards in canonical
 	// order at round barriers, so the recorded trace, the comparator
@@ -69,10 +68,6 @@ type Config struct {
 	// cannot be accessed concurrently (an enclave cost model attached)
 	// degrade to sequential execution over the same schedule.
 	Workers int
-	// Parallel is shorthand for Workers = GOMAXPROCS when Workers is 0.
-	// Unlike the pre-round-schedule implementation it composes with
-	// Stats, tracing and MergeExchange; see Workers.
-	Parallel bool
 	// Ctx, when non-nil and cancellable, makes the run abortable: the
 	// sorting networks, routing waves and blocked scans probe it at
 	// round barriers and block boundaries and abort by panicking with
@@ -198,8 +193,6 @@ func (c *Config) workerCount() int {
 		return runtime.GOMAXPROCS(0)
 	case c.Workers > 0:
 		return c.Workers
-	case c.Parallel:
-		return runtime.GOMAXPROCS(0)
 	default:
 		return 1
 	}

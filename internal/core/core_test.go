@@ -232,7 +232,7 @@ func TestJoinParallelSorts(t *testing.T) {
 	for _, kind := range []string{"1x1", "powerlaw"} {
 		t1, t2 := genWorkload(kind, 300, rng)
 		sp := memory.NewSpace(nil, nil)
-		cfg := &Config{Alloc: table.PlainAlloc(sp), Parallel: true}
+		cfg := &Config{Alloc: table.PlainAlloc(sp), Workers: -1}
 		checkJoin(t, cfg, t1, t2)
 	}
 }

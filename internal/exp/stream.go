@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -15,17 +14,16 @@ import (
 )
 
 // StreamBenchResult is one row of the streaming-executor benchmark:
-// the same scan→join→rekey→filter→project chain executed three ways —
-// materialized (stage-at-a-time, every intermediate charged and never
-// discharged), streamed (block-granular batches, eager releases, the
-// default executor), and streamed into a RowSink (the result itself
-// never materializes) — at one input size over one store backend.
+// the same scan→join→rekey→filter→project chain executed two ways —
+// streamed into a materialized Result, and streamed into a RowSink
+// (the result itself never materializes) — at one input size over one
+// store backend.
 //
 // The memory columns are the deterministic allocation-gauge readings
 // (table.Gauge), a pure function of the plan and the public sizes, so
 // benchdiff gates them at the same threshold as the wall times. The
-// trace columns are the equivalence evidence: all three executions
-// must record bit-identical canonical traces.
+// trace columns are the equivalence evidence: both executions must
+// record bit-identical canonical traces.
 type StreamBenchResult struct {
 	N       int    `json:"n"`
 	M       int    `json:"m"`
@@ -34,24 +32,12 @@ type StreamBenchResult struct {
 	Mode    string `json:"mode"`
 	Block   int    `json:"block,omitempty"`
 
-	MaterializedNS int64 `json:"materialized_ns"`
-	StreamedNS     int64 `json:"streamed_ns"`
-	SinkNS         int64 `json:"streamed_sink_ns"`
+	StreamedNS int64 `json:"streamed_ns"`
+	SinkNS     int64 `json:"streamed_sink_ns"`
 
-	MaterializedPeakBytes int64 `json:"materialized_peak_bytes"`
-	StreamedPeakBytes     int64 `json:"streamed_peak_bytes"`
-	SinkPeakBytes         int64 `json:"streamed_sink_peak_bytes"`
-
-	MaterializedTotalBytes int64 `json:"materialized_total_alloc_bytes"`
-	StreamedTotalBytes     int64 `json:"streamed_total_alloc_bytes"`
-
-	// PeakReduction is 1 − streamed_peak/materialized_peak: the
-	// fraction of the stage-at-a-time peak the streaming executor
-	// avoids on this chain.
-	PeakReduction float64 `json:"peak_reduction"`
-	// WallRatio is streamed_ns/materialized_ns (1.0 = parity; the
-	// streaming executor must not trade memory for wall time).
-	WallRatio float64 `json:"wall_ratio"`
+	StreamedPeakBytes  int64 `json:"streamed_peak_bytes"`
+	SinkPeakBytes      int64 `json:"streamed_sink_peak_bytes"`
+	StreamedTotalBytes int64 `json:"streamed_total_alloc_bytes"`
 
 	TraceEvents    uint64 `json:"trace_events"`
 	TraceDetEvents bool   `json:"trace_event_counts_equal"`
@@ -118,10 +104,10 @@ type streamMode struct {
 }
 
 // BenchStream measures the peak tracked memory and wall time of the
-// streaming executor against the stage-at-a-time baseline on the
-// streamChain pipeline, per input size, over plain and block-sealed
-// storage, cross-checking rows and canonical traces between every
-// execution strategy (hashes up to hashCheckCap, event counts always).
+// streaming executor on the streamChain pipeline, with and without a
+// result sink, per input size, over plain and block-sealed storage,
+// cross-checking rows and canonical traces between the two (hashes up
+// to hashCheckCap, event counts always).
 // workers ≤ 0 means GOMAXPROCS; block ≤ 0 selects the default width.
 func BenchStream(w io.Writer, ns []int, workers, block int) ([]StreamBenchResult, error) {
 	if workers <= 0 {
@@ -138,9 +124,9 @@ func BenchStream(w io.Writer, ns []int, workers, block int) ([]StreamBenchResult
 		{name: "plain"},
 		{name: "block-sealed", encrypted: true, block: block},
 	}
-	fmt.Fprintf(w, "Streaming benchmark — stage-at-a-time vs block-granular streaming, scan→join→rekey→filter→project (workers=%d, tracing on)\n", workers)
-	fmt.Fprintf(w, "%8s %-12s %12s %12s %12s %14s %14s %10s %7s %s\n",
-		"n", "mode", "mat", "streamed", "sink", "mat peak", "stream peak", "reduction", "wall", "trace")
+	fmt.Fprintf(w, "Streaming benchmark — block-granular streaming, scan→join→rekey→filter→project (workers=%d, tracing on)\n", workers)
+	fmt.Fprintf(w, "%8s %-12s %12s %12s %14s %14s %s\n",
+		"n", "mode", "streamed", "sink", "stream peak", "sink peak", "trace")
 
 	var out []StreamBenchResult
 	for _, n := range ns {
@@ -160,16 +146,7 @@ func BenchStream(w io.Writer, ns []int, workers, block int) ([]StreamBenchResult
 			}
 			pipeline := streamChain()
 
-			mo := opts
-			mo.Materialized = true
 			t0 := time.Now()
-			matRes, matPS, err := query.Run(nil, mo, c, tables, pipeline)
-			matT := time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("exp: stream n=%d %s materialized: %w", n, mode.name, err)
-			}
-
-			t0 = time.Now()
 			strRes, strPS, err := query.Run(nil, opts, c, tables, pipeline)
 			strT := time.Since(t0)
 			if err != nil {
@@ -184,30 +161,24 @@ func BenchStream(w io.Writer, ns []int, workers, block int) ([]StreamBenchResult
 				return nil, fmt.Errorf("exp: stream n=%d %s sink: %w", n, mode.name, err)
 			}
 
-			if !reflect.DeepEqual(matRes, strRes) || sink.rows != len(matRes.Rows) {
+			if sink.rows != len(strRes.Rows) {
 				return nil, fmt.Errorf("exp: stream n=%d %s: executions disagree on the result", n, mode.name)
 			}
 			r := StreamBenchResult{
-				N: n, M: n, Rows: len(matRes.Rows), Workers: workers,
+				N: n, M: n, Rows: len(strRes.Rows), Workers: workers,
 				Mode: mode.name, Block: mode.block,
-				MaterializedNS: matT.Nanoseconds(), StreamedNS: strT.Nanoseconds(), SinkNS: sinkT.Nanoseconds(),
-				MaterializedPeakBytes: matPS.PeakBytes, StreamedPeakBytes: strPS.PeakBytes, SinkPeakBytes: sinkPS.PeakBytes,
-				MaterializedTotalBytes: matPS.TotalAllocBytes, StreamedTotalBytes: strPS.TotalAllocBytes,
-				TraceEvents: matPS.TraceEvents, GOMAXPROCS: runtime.GOMAXPROCS(0),
+				StreamedNS: strT.Nanoseconds(), SinkNS: sinkT.Nanoseconds(),
+				StreamedPeakBytes: strPS.PeakBytes, SinkPeakBytes: sinkPS.PeakBytes,
+				StreamedTotalBytes: strPS.TotalAllocBytes, TraceEvents: strPS.TraceEvents,
+				GOMAXPROCS: runtime.GOMAXPROCS(0),
 			}
-			if matPS.PeakBytes > 0 {
-				r.PeakReduction = 1 - float64(strPS.PeakBytes)/float64(matPS.PeakBytes)
-			}
-			if matT > 0 {
-				r.WallRatio = float64(strT) / float64(matT)
-			}
-			r.TraceDetEvents = matPS.TraceEvents == strPS.TraceEvents && strPS.TraceEvents == sinkPS.TraceEvents
+			r.TraceDetEvents = strPS.TraceEvents == sinkPS.TraceEvents
 			det := "events=eq"
 			if !r.TraceDetEvents {
 				det = "events=DIVERGED"
 			}
 			if hash {
-				r.TraceDetHash = matPS.TraceHash == strPS.TraceHash && strPS.TraceHash == sinkPS.TraceHash
+				r.TraceDetHash = strPS.TraceHash == sinkPS.TraceHash
 				if r.TraceDetHash {
 					det += " hash=eq"
 				} else {
@@ -218,12 +189,11 @@ func BenchStream(w io.Writer, ns []int, workers, block int) ([]StreamBenchResult
 				det += " hash=skipped"
 			}
 			if !r.TraceDetEvents || (hash && !r.TraceDetHash) {
-				return nil, fmt.Errorf("exp: stream n=%d %s: canonical traces diverged across executors", n, mode.name)
+				return nil, fmt.Errorf("exp: stream n=%d %s: canonical traces diverged between result and sink delivery", n, mode.name)
 			}
-			fmt.Fprintf(w, "%8d %-12s %12s %12s %12s %14d %14d %9.1f%% %6.2fx %s\n",
-				n, mode.name,
-				matT.Round(time.Microsecond), strT.Round(time.Microsecond), sinkT.Round(time.Microsecond),
-				matPS.PeakBytes, strPS.PeakBytes, 100*r.PeakReduction, r.WallRatio, det)
+			fmt.Fprintf(w, "%8d %-12s %12s %12s %14d %14d %s\n",
+				n, mode.name, strT.Round(time.Microsecond), sinkT.Round(time.Microsecond),
+				strPS.PeakBytes, sinkPS.PeakBytes, det)
 			out = append(out, r)
 		}
 	}

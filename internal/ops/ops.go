@@ -58,8 +58,8 @@ func Filter(cfg *core.Config, rows []table.Row, pred Predicate) []table.Row {
 // FilterStore is Filter over an already-loaded store: it nulls the
 // failing entries, compacts, and returns the (public) number of
 // survivors occupying the store's prefix. The streaming executor loads
-// the store batch-wise and drains the prefix batch-wise, so the
-// whole-relation slices of the materialized path never exist.
+// the store batch-wise and drains the prefix batch-wise, so no
+// whole-relation slice ever exists.
 func FilterStore(cfg *core.Config, a table.Store, pred Predicate) uint64 {
 	var k uint64
 	cfg.ScanStore(a, false, func(_ int, e *table.Entry) {
@@ -157,15 +157,9 @@ func SemijoinStore(cfg *core.Config, a table.Store) uint64 {
 	return k
 }
 
-// SortByKey sorts rows by (key, data) obliviously, in place semantics
-// (a new slice is returned; the input is untouched).
-func SortByKey(cfg *core.Config, rows []table.Row) []table.Row {
-	a := load(cfg, rows)
-	return collect(a, SortByKeyStore(cfg, a))
-}
-
-// SortByKeyStore sorts an already-loaded store by (key, data) and
-// returns its (public) length; the whole store is live output.
+// SortByKeyStore sorts an already-loaded store by (key, data)
+// obliviously and returns its (public) length; the whole store is live
+// output.
 func SortByKeyStore(cfg *core.Config, a table.Store) uint64 {
 	cfg.SortStore(a, table.LessJD, cfg.RelationalSortStats())
 	return uint64(a.Len())

@@ -46,23 +46,45 @@ func TestJoinCostModelExact(t *testing.T) {
 	card := feedCard{tables: tables, feed: map[string]int{"t1→t2": 12}}
 	sql := "SELECT key, left.data, right.data FROM t1 JOIN t2 USING (key)"
 
-	for name, opts := range map[string]Options{
-		"bitonic":       {CollectStats: true},
-		"mergeexchange": {CollectStats: true, MergeExchange: true},
-		"probabilistic": {CollectStats: true, Probabilistic: true, Seed: 7},
-		"materialized":  {CollectStats: true, Materialized: true},
+	// The "materialized" row also holds the run to what the
+	// stage-at-a-time executor recorded for this join before it was
+	// deleted — its comparator and route-op counts, trace hash and event
+	// count — and its rows to the materialized reference executor
+	// (ref_test.go).
+	for _, tc := range []struct {
+		name string
+		opts Options
+		pin  *pinnedRun
+	}{
+		{"bitonic", Options{CollectStats: true}, nil},
+		{"mergeexchange", Options{CollectStats: true, MergeExchange: true}, nil},
+		{"probabilistic", Options{CollectStats: true, Probabilistic: true, Seed: 7}, nil},
+		{"materialized", Options{TraceHash: true}, &pinnedRun{
+			hash:        "29b2b1e5be8aa62b46ef85250c8b191673bac58f90d7b4bdcb9dc273ac9af696",
+			events:      3504,
+			comparators: 678,
+		}},
 	} {
-		t.Run(name, func(t *testing.T) {
+		opts := tc.opts
+		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngineWith(opts)
 			for tn, rows := range tables {
 				if err := e.Register(tn, rows); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := e.Query(sql); err != nil {
+			res, err := e.Query(sql)
+			if err != nil {
 				t.Fatal(err)
 			}
 			ps := e.LastStats()
+			if tc.pin != nil {
+				got := pinnedRun{hash: ps.TraceHash, events: ps.TraceEvents, comparators: ps.Comparators}
+				if got != *tc.pin || ps.RouteOps != 102 {
+					t.Errorf("observed %+v with %d route ops, pinned %+v with 102", got, ps.RouteOps, *tc.pin)
+				}
+				checkReference(t, tc.name, sql, tables, res)
+			}
 
 			q, err := Parse(sql)
 			if err != nil {

@@ -16,7 +16,9 @@ import (
 )
 
 // Options configures how an Engine executes its plans. The zero value
-// is the sequential, plaintext, uninstrumented engine.
+// is the sequential, plaintext, uninstrumented engine. The options pick
+// stores, parallelism, networks, instrumentation and the planner; there
+// is one executor (see Run).
 type Options struct {
 	// Workers sets the parallelism of every oblivious operator (> 1
 	// lanes, 1 or 0 sequential, < 0 GOMAXPROCS). Results and traces are
@@ -47,13 +49,6 @@ type Options struct {
 	// SHA-256 trace hash (the §6.1 construction), reported in
 	// PlanStats.TraceHash. Implies stats collection.
 	TraceHash bool
-	// Materialized restores the stage-at-a-time executor, where every
-	// operator hand-off is a whole relation. The zero value selects the
-	// streaming executor: block-granular batches between stages, eager
-	// release of drained intermediates, bounded peak memory. Results,
-	// comparator counts and canonical trace hashes are identical either
-	// way.
-	Materialized bool
 	// StreamBatch sets the streaming hand-off granularity in rows (0
 	// selects the default); the driver rounds it up to a multiple of
 	// the sealed block width.
@@ -111,8 +106,8 @@ type PlanStats struct {
 	// stores charged at allocation, relation hand-offs charged at fixed
 	// per-record weights, both discharged at their release points. A
 	// deterministic function of the pipeline, the (public) sizes and
-	// the executor mode — not a live heap sample — so it is
-	// reproducible and CI-gateable.
+	// the store mode — not a live heap sample — so it is reproducible
+	// and CI-gateable (TestStreamTracePinned pins it).
 	PeakBytes int64
 	// TotalAllocBytes is the cumulative tracked bytes ever charged.
 	TotalAllocBytes int64

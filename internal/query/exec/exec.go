@@ -1,8 +1,10 @@
 // Package exec is the physical operator layer of the oblivious SQL
 // engine: each operator wraps one of the repository's oblivious
-// primitives (internal/core, internal/ops, internal/aggregate) behind a
-// uniform Run interface, and a query executes as a straight-line
-// pipeline of operators threading one shared execution context.
+// primitives (internal/core, internal/ops, internal/aggregate), and a
+// query executes as a straight-line pipeline of operators threading one
+// shared execution context. Row-shaped relations flow between stages
+// as block-granular batch streams (RowSource); keyed join output,
+// aggregates and the rendered result are materialized Relations.
 //
 // The context carries a single *core.Config — store allocator (plain or
 // sealed), worker count, sorting network, instrumentation — so every
@@ -107,16 +109,27 @@ type Result struct {
 	Rows    [][]string
 }
 
-// Operator is one physical plan stage. Run consumes the upstream
-// relation and produces the downstream one; Name is the stage's label
-// in EXPLAIN output and PlanStats reports.
+// Operator is one physical plan stage; Name is the stage's label in
+// EXPLAIN output and PlanStats reports. What a stage consumes decides
+// how it runs: a Streamer consumes the upstream row stream, a Runner a
+// whole materialized relation, and the two stages that turn rows into
+// keyed pairs and back have forms of their own (Join.RunFeed,
+// Rekey.RunPairs).
 type Operator interface {
 	Name() string
+}
+
+// Runner is implemented by operators over a whole materialized
+// relation: the Scan source, the stages over keyed join output or
+// aggregates (Restore, free Sort, Limit, Project) and the operators
+// that need every row at once (GroupBy, JoinAggregate).
+type Runner interface {
+	Operator
 	Run(ctx *Context, in Relation) (Relation, error)
 }
 
 // probeEvery is the row stride between cancellation probes in the
-// operators' own per-row materialization loops (Rekey, GroupBy). The
+// operators' own per-row materialization loops (GroupBy). The
 // oblivious primitives probe at their round barriers already; this
 // covers the plain-Go loops over m rows, which can dominate when a
 // join output is large. A fixed constant, so the probe cadence is a
@@ -147,7 +160,7 @@ type Scan struct{ Table string }
 // Name implements Operator.
 func (s Scan) Name() string { return fmt.Sprintf("scan(%s)", s.Table) }
 
-// Run implements Operator.
+// Run implements Runner.
 func (s Scan) Run(ctx *Context, _ Relation) (Relation, error) {
 	rows, err := lookup(ctx, s.Table, "")
 	if err != nil {
@@ -162,36 +175,17 @@ type Semijoin struct{ Table string }
 // Name implements Operator.
 func (s Semijoin) Name() string { return fmt.Sprintf("semijoin(%s)", s.Table) }
 
-// Run implements Operator.
-func (s Semijoin) Run(ctx *Context, in Relation) (Relation, error) {
-	sub, err := lookup(ctx, s.Table, " in IN subquery")
-	if err != nil {
-		return Relation{}, err
-	}
-	return Relation{Kind: KindRows, Rows: ops.Semijoin(ctx.Cfg, in.Rows, sub)}, nil
-}
-
 // Filter keeps the rows satisfying the branch-free predicate.
 type Filter struct{ Pred ops.Predicate }
 
 // Name implements Operator.
 func (Filter) Name() string { return "filter[branch-free]" }
 
-// Run implements Operator.
-func (f Filter) Run(ctx *Context, in Relation) (Relation, error) {
-	return Relation{Kind: KindRows, Rows: ops.Filter(ctx.Cfg, in.Rows, f.Pred)}, nil
-}
-
 // Distinct removes duplicate rows, sorting by (key, data).
 type Distinct struct{}
 
 // Name implements Operator.
 func (Distinct) Name() string { return "distinct[oblivious]" }
-
-// Run implements Operator.
-func (Distinct) Run(ctx *Context, in Relation) (Relation, error) {
-	return Relation{Kind: KindRows, Rows: ops.Distinct(ctx.Cfg, in.Rows)}, nil
-}
 
 // Sort orders rows by (key, data). Free marks inputs that are already
 // key-ordered (join output), where the sort costs nothing.
@@ -205,12 +199,14 @@ func (s Sort) Name() string {
 	return "sort(key)"
 }
 
-// Run implements Operator.
-func (s Sort) Run(ctx *Context, in Relation) (Relation, error) {
-	if s.Free {
-		return in, nil
+// Run implements Runner for the free sort over materialized join
+// output, which is already key-ordered; a real sort consumes a row
+// stream (RunStream).
+func (s Sort) Run(_ *Context, in Relation) (Relation, error) {
+	if !s.Free {
+		return Relation{}, fmt.Errorf("query: %s needs a row stream, got relation kind %d", s.Name(), in.Kind)
 	}
-	return Relation{Kind: KindRows, Rows: ops.SortByKey(ctx.Cfg, in.Rows)}, nil
+	return in, nil
 }
 
 // Limit truncates the relation to its first N records. Truncation of an
@@ -220,7 +216,7 @@ type Limit struct{ N int }
 // Name implements Operator.
 func (l Limit) Name() string { return fmt.Sprintf("limit(%d)", l.N) }
 
-// Run implements Operator.
+// Run implements Runner.
 func (l Limit) Run(ctx *Context, in Relation) (Relation, error) {
 	probe(ctx)
 	if l.N >= in.Size() {
@@ -248,11 +244,12 @@ func (l Limit) Run(ctx *Context, in Relation) (Relation, error) {
 // re-packaged as a plain relation for the next join of a chain.
 const RekeySep = "+"
 
-// Rekey converts keyed join output back into a row relation whose
+// Rekey converts keyed join output back into a row stream whose
 // payload is the concatenation of both sides — the ToTable composition
-// of §7 that makes oblivious joins chainable. A combined payload
-// exceeding the fixed public width is an error (widths are public
-// constants; growing them is a schema decision, not a runtime one).
+// of §7 that makes oblivious joins chainable. Its form is RunPairs. A
+// combined payload exceeding the fixed public width is an error (widths
+// are public constants; growing them is a schema decision, not a
+// runtime one).
 //
 // Payload segments are escape-encoded (see encodeSegment) so an
 // accumulated payload splits unambiguously at its separators — the
@@ -266,50 +263,13 @@ type Rekey struct{ First bool }
 // Name implements Operator.
 func (Rekey) Name() string { return "rekey" }
 
-// Run implements Operator.
-func (r Rekey) Run(ctx *Context, in Relation) (Relation, error) {
-	rows := make([]table.Row, len(in.Pairs))
-	for i, p := range in.Pairs {
-		if i%probeEvery == 0 {
-			probe(ctx)
-		}
-		d1 := table.DataString(p.D1)
-		if r.First {
-			d1 = encodeSegment(d1)
-		}
-		d, err := rekeyJoin(d1, table.DataString(p.D2))
-		if err != nil {
-			return Relation{}, err
-		}
-		rows[i] = table.Row{J: p.J, D: d}
-	}
-	return Relation{Kind: KindRows, Rows: rows}, nil
-}
-
-// Join computes the oblivious equi-join of the incoming rows with a
-// registered table, keeping the join key in the output so the result
-// stays composable (core.JoinKeyed).
+// Join computes the oblivious equi-join of the incoming row stream with
+// a registered table, keeping the join key in the output so the result
+// stays composable (core.JoinKeyedFeed2). Its form is RunFeed.
 type Join struct{ Table string }
 
 // Name implements Operator.
 func (j Join) Name() string { return fmt.Sprintf("oblivious-join(%s)", j.Table) }
-
-// Run implements Operator.
-func (j Join) Run(ctx *Context, in Relation) (Relation, error) {
-	right, err := lookup(ctx, j.Table, "")
-	if err != nil {
-		return Relation{}, err
-	}
-	if ctx.Shard != nil {
-		pairs, err := ctx.Shard.JoinKeyed(core.RowsFeed(in.Rows), core.RowsFeed(right))
-		if err != nil {
-			return Relation{}, err
-		}
-		return Relation{Kind: KindPairs, Pairs: pairs}, nil
-	}
-	pairs := core.JoinKeyed(ctx.Cfg, in.Rows, right)
-	return Relation{Kind: KindPairs, Pairs: pairs}, nil
-}
 
 // JoinAggregate is the §7 fast path: COUNT and SUM aggregates over a
 // join computed from group dimensions alone, never materializing the
@@ -327,7 +287,7 @@ func (j JoinAggregate) Name() string {
 	return fmt.Sprintf("join-group-stats(%s) [§7 fast path]", j.Table)
 }
 
-// Run implements Operator.
+// Run implements Runner.
 func (j JoinAggregate) Run(ctx *Context, in Relation) (Relation, error) {
 	right, err := lookup(ctx, j.Table, "")
 	if err != nil {
@@ -393,7 +353,7 @@ type GroupBy struct{ NeedValue bool }
 // Name implements Operator.
 func (GroupBy) Name() string { return "group-by[oblivious]" }
 
-// Run implements Operator.
+// Run implements Runner.
 func (g GroupBy) Run(ctx *Context, in Relation) (Relation, error) {
 	items := make([]aggregate.Item, len(in.Rows))
 	for i, r := range in.Rows {

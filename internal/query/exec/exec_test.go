@@ -58,22 +58,27 @@ func TestLimitTruncatesEveryKind(t *testing.T) {
 }
 
 func TestRekeyConcatenatesAndOverflows(t *testing.T) {
-	in := Relation{Kind: KindPairs, Pairs: []table.KeyedPair{
+	ctx := testCtx(nil)
+	closed := false
+	src := (Rekey{}).RunPairs(ctx, []table.KeyedPair{
 		{J: 7, D1: table.MustData("ab"), D2: table.MustData("cd")},
-	}}
-	out, err := (Rekey{}).Run(nil, in)
+	}, func() { closed = true })
+	out, err := Materialize(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Kind != KindRows || table.DataString(out.Rows[0].D) != "ab+cd" || out.Rows[0].J != 7 {
-		t.Fatalf("rekeyed = %+v", out.Rows)
+	if len(out) != 1 || table.DataString(out[0].D) != "ab+cd" || out[0].J != 7 {
+		t.Fatalf("rekeyed = %+v", out)
+	}
+	if !closed {
+		t.Fatal("drained rekey source did not run onClose")
 	}
 
 	long := strings.Repeat("x", table.DataLen)
-	in = Relation{Kind: KindPairs, Pairs: []table.KeyedPair{
+	src = (Rekey{}).RunPairs(ctx, []table.KeyedPair{
 		{J: 1, D1: table.MustData(long), D2: table.MustData("y")},
-	}}
-	if _, err := (Rekey{}).Run(nil, in); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	}, nil)
+	if _, err := Materialize(ctx, src); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("err = %v, want overflow error", err)
 	}
 }
@@ -127,15 +132,19 @@ func TestPipelineComposition(t *testing.T) {
 		"l": rowsOf(1, 2, 2),
 		"r": rowsOf(2, 2, 3),
 	})
-	pipeline := []Operator{
-		Scan{Table: "l"},
-		Join{Table: "r"},
+	rel, err := (Scan{Table: "l"}).Run(ctx, Relation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err = (Join{Table: "r"}).RunFeed(ctx, NewSliceSource(ctx, rel.Rows, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Runner{
+		Sort{Free: true},
 		Limit{N: 3},
 		Project{Items: []ProjItem{{Col: ColKey}, {Col: ColLeftData}, {Col: ColRightData}}},
-	}
-	rel := Relation{}
-	var err error
-	for _, op := range pipeline {
+	} {
 		rel, err = op.Run(ctx, rel)
 		if err != nil {
 			t.Fatalf("%s: %v", op.Name(), err)

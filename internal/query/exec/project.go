@@ -76,7 +76,7 @@ type Project struct{ Items []ProjItem }
 // Name implements Operator.
 func (Project) Name() string { return "project" }
 
-// Run implements Operator.
+// Run implements Runner.
 func (p Project) Run(ctx *Context, in Relation) (Relation, error) {
 	res := &Result{}
 	for _, it := range p.Items {

@@ -83,8 +83,9 @@ func (c *Context) fillFrom(bld *table.Builder, src RowSource, tid uint64) error 
 }
 
 // fillStore loads src into a fresh store of exactly src.Len() entries.
-// The builder's deferred-trace write replay keeps the recorded event
-// order identical to the materialized collect-then-load sequence.
+// The builder's deferred-trace write replay records every upstream read
+// before the fill's writes, so the trace does not depend on how the
+// stream batches its rows.
 func (c *Context) fillStore(src RowSource) (table.Store, error) {
 	a := c.NewStore(src.Len())
 	bld := table.NewBuilder(a)
@@ -136,8 +137,8 @@ func (s *sliceSource) Close() {
 
 // storeSource drains the live prefix [0, k) of a store in batch-sized
 // range reads, releasing the store into the run's gauge once drained.
-// The range reads canonicalize to the same per-entry read events the
-// materialized executor's collect loop emits.
+// The range reads canonicalize to ascending per-entry read events over
+// [0, k), whatever the batch width.
 type storeSource struct {
 	ctx      *Context
 	st       table.Store
@@ -196,9 +197,9 @@ func loadStoreRange(st table.Store, lo int, dst []table.Entry) {
 	}
 }
 
-// rekeySource converts keyed join output into a row stream batch-wise
-// — the streaming form of Rekey, so a join feeding a downstream stage
-// never materializes the rekeyed whole-relation slice.
+// rekeySource converts keyed join output into a row stream batch-wise,
+// so a join feeding a downstream stage never materializes the rekeyed
+// whole-relation slice.
 type rekeySource struct {
 	ctx     *Context
 	pairs   []table.KeyedPair
@@ -208,12 +209,11 @@ type rekeySource struct {
 	onClose func()
 }
 
-// NewRekeySource wraps keyed join output as a row stream, applying the
-// same segment encoding as Rekey (first marks the chain's first rekey,
-// whose left side is a raw payload). onClose (optional) runs once on
-// close or full drain, discharging the pairs.
-func NewRekeySource(ctx *Context, pairs []table.KeyedPair, first bool, onClose func()) RowSource {
-	return &rekeySource{ctx: ctx, pairs: pairs, first: first, onClose: onClose}
+// RunPairs runs the rekey: it wraps keyed join output as a row stream,
+// applying the segment encoding described at Rekey. onClose (optional)
+// runs once on close or full drain, discharging the pairs.
+func (r Rekey) RunPairs(ctx *Context, pairs []table.KeyedPair, onClose func()) RowSource {
+	return &rekeySource{ctx: ctx, pairs: pairs, first: r.First, onClose: onClose}
 }
 
 func (s *rekeySource) Len() int { return len(s.pairs) }
@@ -251,10 +251,10 @@ func (s *rekeySource) Close() {
 }
 
 // limitSource forwards the first total rows of src and then keeps
-// draining the remainder without forwarding it. The dummy drain keeps
-// the upstream read pattern — and hence the canonical trace —
-// identical to a materialized run, where the full prefix is collected
-// before the limit truncates it.
+// draining the remainder without forwarding it. The dummy drain reads
+// the whole upstream prefix whatever the limit, so the upstream read
+// pattern — and hence the canonical trace — depends on the public
+// input size alone (TestStreamTracePinned pins it).
 type limitSource struct {
 	ctx   *Context
 	src   RowSource
@@ -285,8 +285,8 @@ func (l *limitSource) Next() (Batch, error) {
 func (l *limitSource) Close() { l.src.Close() }
 
 // Materialize drains src into one contiguous slice — the bridge from a
-// streamed prefix to operators that need the whole relation at once
-// (GroupBy, the §7 join aggregates).
+// streamed prefix to the Runners that need the whole relation at once
+// (GroupBy, the §7 join aggregates, Project over a Limit).
 func Materialize(ctx *Context, src RowSource) ([]table.Row, error) {
 	out := make([]table.Row, 0, src.Len())
 	defer src.Close()
@@ -338,8 +338,8 @@ func (s Sort) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 }
 
 // RunStream implements Streamer. The subquery table is appended before
-// the upstream rows (right TID 1, then left TID 2), matching the
-// materialized load order entry for entry.
+// the upstream rows (right TID 1, then left TID 2), the load order
+// ops.SemijoinStore expects.
 func (s Semijoin) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	sub, err := lookup(ctx, s.Table, " in IN subquery")
 	if err != nil {
@@ -357,14 +357,14 @@ func (s Semijoin) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	return newStoreSource(ctx, a, int(k)), nil
 }
 
-// RunFeed is Join's streaming form: both inputs arrive batch-wise and
-// append straight into the join's combined store
-// (core.JoinKeyedFeed2), so neither relation is ever staged as an
-// extra slice — the left is the upstream stage's stream, the right is
-// drained from the catalog in batch windows. The keyed output is
-// materialized — a join is a barrier; its m output rows exist at once
-// by construction. With sharding enabled the same two feeds drain into
-// the sharded scheduler instead.
+// RunFeed runs the join: both inputs arrive batch-wise and append
+// straight into the join's combined store (core.JoinKeyedFeed2), so
+// neither relation is ever staged as an extra slice — the left is the
+// upstream stage's stream, the right is drained from the catalog in
+// batch windows. The keyed output is materialized — a join is a
+// barrier; its m output rows exist at once by construction. With
+// sharding enabled the same two feeds drain into the sharded scheduler
+// instead.
 func (j Join) RunFeed(ctx *Context, src RowSource) (Relation, error) {
 	right, err := lookup(ctx, j.Table, "")
 	if err != nil {
@@ -384,8 +384,8 @@ func (j Join) RunFeed(ctx *Context, src RowSource) (Relation, error) {
 }
 
 // RunStream implements Streamer: forward the first N rows lazily, then
-// dummy-drain the rest so the access pattern matches a materialized
-// run (where the whole prefix is read before truncation).
+// dummy-drain the rest, so the upstream access pattern is a function
+// of the public input size, not of N.
 func (l Limit) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	return &limitSource{ctx: ctx, src: src, total: min(l.N, src.Len())}, nil
 }

@@ -45,18 +45,16 @@ func ctxErr(cause error) error {
 // and returns the projected result plus, when opts collects, the
 // PlanStats report (nil otherwise).
 //
-// By default the pipeline executes in streaming mode: row-shaped
-// relations flow between operators as block-granular batches, barrier
-// operators fill their stores straight from the upstream batches, and
-// each intermediate store is released the moment it is drained — so
-// peak memory is bounded by the widest adjacent pair of stages, not
-// the sum of every intermediate. Options.Materialized restores the
-// stage-at-a-time executor. Both modes produce identical results,
-// identical comparator counts and bit-identical canonical trace
-// hashes: the streaming fills defer their write events behind the
-// upstream reads they interleave with (table.Builder), so the
-// recorded access pattern is a function of the pipeline and the
-// public sizes alone, never of the execution strategy.
+// The pipeline executes as a stream: row-shaped relations flow
+// between operators as block-granular batches, barrier operators fill
+// their stores straight from the upstream batches, and each
+// intermediate store is released the moment it is drained — so peak
+// memory is bounded by the widest adjacent pair of stages, not the sum
+// of every intermediate. The streaming fills defer their write events
+// behind the upstream reads they interleave with (table.Builder), so
+// the recorded access pattern is a function of the pipeline and the
+// public sizes alone, never of the batch width or of table contents;
+// TestStreamTracePinned pins the canonical traces.
 //
 // Each call assembles a private execution context — a fresh memory
 // space, trace sink, allocation gauge and core.Config — so the same
@@ -76,17 +74,16 @@ func Run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 	return run(ctx, opts, cipher, tables, pipeline, nil)
 }
 
-// RunStream executes pipeline in streaming mode and delivers the
-// result incrementally to sink — Columns once, then the output rows in
-// order, batch by batch — so the final result is never materialized
-// and the run's peak memory is bounded by its widest stage. Everything
-// else matches Run: same options, same concurrency contract, same
+// RunStream executes pipeline like Run but delivers the result
+// incrementally to sink — Columns once, then the output rows in order,
+// batch by batch — so the final result is never materialized and the
+// run's peak memory is bounded by its widest stage. Everything else
+// matches Run: same options, same concurrency contract, same
 // cancellation behavior, same canonical trace.
 func RunStream(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[string][]table.Row, pipeline []exec.Operator, sink exec.RowSink) (*PlanStats, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("query: RunStream needs a sink: %w", ErrInternal)
 	}
-	opts.Materialized = false
 	_, ps, err := run(ctx, opts, cipher, tables, pipeline, sink)
 	return ps, err
 }
@@ -209,15 +206,6 @@ func modeFootprint(opts Options) func(n int) int64 {
 	}
 }
 
-// footprint is the gauge weight of an operator's materialized output.
-// Scan outputs alias the catalog snapshot, which the run does not own.
-func footprint(op exec.Operator, rel exec.Relation) int64 {
-	if _, ok := op.(exec.Scan); ok {
-		return 0
-	}
-	return exec.RelationFootprint(rel)
-}
-
 func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[string][]table.Row, pipeline []exec.Operator, sink exec.RowSink) (res *Result, ps *PlanStats, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -338,43 +326,32 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 		ps.Total += wall
 	}
 
-	var rel exec.Relation
-	if opts.Materialized && sink == nil {
-		// Stage-at-a-time executor: every hand-off is a whole relation,
-		// charged to the gauge and never discharged mid-run — the
-		// legacy peak is the sum of the intermediates.
-		for _, op := range pipeline {
-			if cancellable {
-				if cause := ctx.Err(); cause != nil {
-					return nil, nil, ctxErr(cause)
-				}
+	d := &streamDriver{ectx: ectx, g: gauge, sink: sink}
+	for _, op := range pipeline {
+		if cancellable {
+			if cause := ctx.Err(); cause != nil {
+				return nil, nil, ctxErr(cause)
 			}
-			start := time.Now()
-			rel, err = op.Run(ectx, rel)
-			if err != nil {
-				return nil, nil, err
-			}
-			gauge.Charge(footprint(op, rel))
-			record(op, start, rel.Size())
 		}
-	} else {
-		d := &streamDriver{ectx: ectx, g: gauge, sink: sink}
-		for _, op := range pipeline {
-			if cancellable {
-				if cause := ctx.Err(); cause != nil {
-					return nil, nil, ctxErr(cause)
-				}
-			}
-			start := time.Now()
-			if err = d.step(op); err != nil {
-				return nil, nil, err
-			}
-			record(op, start, d.outRows())
+		start := time.Now()
+		if err = d.step(op); err != nil {
+			return nil, nil, err
 		}
-		rel = d.rel
+		record(op, start, d.outRows())
 	}
+	rel := d.rel
 	if rel.Kind != exec.KindResult {
 		return nil, nil, fmt.Errorf("query: pipeline ended in relation kind %d: %w", rel.Kind, ErrInternal)
+	}
+	if sink != nil && rel.Result != nil {
+		// A projection over a materialized relation (join output,
+		// aggregates) renders it whole; deliver it in one call.
+		if err := sink.Columns(rel.Result.Columns); err != nil {
+			return nil, nil, err
+		}
+		if err := sink.Rows(rel.Result.Rows); err != nil {
+			return nil, nil, err
+		}
 	}
 	if ps != nil {
 		ps.Comparators = coreStats.Comparators()
@@ -393,11 +370,11 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 	return rel.Result, ps, nil
 }
 
-// streamDriver walks a pipeline in streaming mode: row-shaped data
-// flows between operators as a RowSource of block-granular batches;
-// everything else (keyed join output, aggregates, the result) is a
-// materialized Relation charged to the run's gauge and discharged the
-// moment the next stage has consumed it.
+// streamDriver walks a pipeline: row-shaped data flows between
+// operators as a RowSource of block-granular batches; everything else
+// (keyed join output, aggregates, the result) is a materialized
+// Relation charged to the run's gauge and discharged the moment the
+// next stage has consumed it.
 type streamDriver struct {
 	ectx      *exec.Context
 	g         *table.Gauge
@@ -425,6 +402,19 @@ func (d *streamDriver) setRel(rel exec.Relation, charge int64) {
 	d.src, d.rel, d.relCharge = nil, rel, charge
 }
 
+// takeSource hands the live row stream to the stage consuming it.
+func (d *streamDriver) takeSource() exec.RowSource {
+	src := d.src
+	d.src = nil
+	return src
+}
+
+// misplaced reports a stage whose input has the wrong shape — a
+// pipeline the planner never lowers.
+func (d *streamDriver) misplaced(op exec.Operator) error {
+	return fmt.Errorf("query: %s cannot consume relation kind %d: %w", op.Name(), d.rel.Kind, ErrInternal)
+}
+
 func (d *streamDriver) step(op exec.Operator) error {
 	switch o := op.(type) {
 	case exec.Scan:
@@ -437,23 +427,21 @@ func (d *streamDriver) step(op exec.Operator) error {
 		d.setSource(exec.NewSliceSource(d.ectx, rel.Rows, nil))
 		return nil
 	case exec.Rekey:
-		if d.rel.Kind == exec.KindPairs {
-			// The pairs stay live while downstream drains; their charge
-			// drops when the source closes.
-			g, charge := d.g, d.relCharge
-			pairs := d.rel.Pairs
-			d.rel, d.relCharge = exec.Relation{}, 0
-			d.setSource(exec.NewRekeySource(d.ectx, pairs, o.First, func() { g.Discharge(charge) }))
-			return nil
+		if d.src != nil || d.rel.Kind != exec.KindPairs {
+			return d.misplaced(op)
 		}
-		return d.runLegacy(op)
+		// The pairs stay live while downstream drains; their charge
+		// drops when the source closes.
+		g, charge := d.g, d.relCharge
+		pairs := d.rel.Pairs
+		d.rel, d.relCharge = exec.Relation{}, 0
+		d.setSource(o.RunPairs(d.ectx, pairs, func() { g.Discharge(charge) }))
+		return nil
 	case exec.Join:
 		if d.src == nil {
-			return d.runLegacy(op)
+			return d.misplaced(op)
 		}
-		src := d.src
-		d.src = nil
-		rel, err := o.RunFeed(d.ectx, src)
+		rel, err := o.RunFeed(d.ectx, d.takeSource())
 		if err != nil {
 			return err
 		}
@@ -461,11 +449,9 @@ func (d *streamDriver) step(op exec.Operator) error {
 		return nil
 	case exec.Project:
 		if d.src == nil {
-			return d.runLegacy(op)
+			break
 		}
-		src := d.src
-		d.src = nil
-		result, err := o.RunStream(d.ectx, src, d.sink)
+		result, err := o.RunStream(d.ectx, d.takeSource(), d.sink)
 		if err != nil {
 			return err
 		}
@@ -473,35 +459,32 @@ func (d *streamDriver) step(op exec.Operator) error {
 		return nil
 	}
 	if st, ok := op.(exec.Streamer); ok && d.src != nil {
-		out, err := st.RunStream(d.ectx, d.src)
-		d.src = nil
+		out, err := st.RunStream(d.ectx, d.takeSource())
 		if err != nil {
 			return err
 		}
 		d.setSource(out)
 		return nil
 	}
-	return d.runLegacy(op)
-}
-
-// runLegacy bridges to an operator's materialized Run: a live stream
-// is drained into a slice first, and the input relation's charge drops
-// once the operator has produced its output.
-func (d *streamDriver) runLegacy(op exec.Operator) error {
+	r, ok := op.(exec.Runner)
+	if !ok {
+		return d.misplaced(op)
+	}
 	if d.src != nil {
-		src := d.src
-		d.src = nil
-		rows, err := exec.Materialize(d.ectx, src)
+		// A Runner needs the whole relation: drain the stream into a
+		// slice first; its charge drops once the operator has produced
+		// its output.
+		rows, err := exec.Materialize(d.ectx, d.takeSource())
 		if err != nil {
 			return err
 		}
 		rel := exec.Relation{Kind: exec.KindRows, Rows: rows}
 		d.setRel(rel, exec.RelationFootprint(rel))
 	}
-	out, err := op.Run(d.ectx, d.rel)
+	out, err := r.Run(d.ectx, d.rel)
 	if err != nil {
 		return err
 	}
-	d.setRel(out, footprint(op, out))
+	d.setRel(out, exec.RelationFootprint(out))
 	return nil
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -22,102 +23,132 @@ var storeModes = []struct {
 	{"block-sealed", func(o *Options) { o.Encrypted = true }},
 }
 
-// runModes pairs a streamed run with its materialized reference.
-func queryBoth(t *testing.T, o Options, sql string, tables map[string][]table.Row) (streamed, materialized *Result, ss, ms *PlanStats) {
+// checkReference checks res against the materialized reference
+// executor of ref_test.go: equal multisets, or under LIMIT N the
+// first min(N, |reference|) rows drawn from the reference multiset.
+func checkReference(t *testing.T, label, sql string, tables map[string][]table.Row, res *Result) {
 	t.Helper()
-	run := func(o Options) (*Result, *PlanStats) {
-		e := NewEngineWith(o)
-		for name, rows := range tables {
-			if err := e.Register(name, rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := e.Query(sql)
-		if err != nil {
-			t.Fatalf("Query(%q) [materialized=%t]: %v", sql, o.Materialized, err)
-		}
-		return res, e.LastStats()
+	q, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
 	}
-	o.TraceHash = true
-	o.Materialized = false
-	streamed, ss = run(o)
-	o.Materialized = true
-	materialized, ms = run(o)
-	return
+	want, err := refQuery(tables, q)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	if q.Limit < 0 {
+		if g, w := multiset(res.Rows), multiset(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: engine %v, reference %v", label, g, w)
+		}
+		return
+	}
+	if len(res.Rows) != min(q.Limit, len(want)) {
+		t.Fatalf("%s: LIMIT %d returned %d of %d reference rows", label, q.Limit, len(res.Rows), len(want))
+	}
+	left := map[string]int{}
+	for _, r := range multiset(want) {
+		left[r]++
+	}
+	for _, r := range multiset(res.Rows) {
+		if left[r] == 0 {
+			t.Fatalf("%s: row %q not in the reference result", label, r)
+		}
+		left[r]--
+	}
 }
 
-func checkEqual(t *testing.T, label string, streamed, materialized *Result, ss, ms *PlanStats) {
+// renamePayloads returns tables with every payload prefixed by "z": the
+// same sizes, keys and payload equalities, different contents.
+func renamePayloads(tables map[string][]table.Row) map[string][]table.Row {
+	out := make(map[string][]table.Row, len(tables))
+	for name, rows := range tables {
+		rr := make([]table.Row, len(rows))
+		for i, r := range rows {
+			rr[i] = table.Row{J: r.J, D: table.MustData("z" + table.DataString(r.D))}
+		}
+		out[name] = rr
+	}
+	return out
+}
+
+// checkBatchAndContentFree runs sql at two batch widths and over
+// renamed payloads, checking every run against the reference executor
+// and requiring one trace hash, event count, comparator count and peak
+// across all of them: these are functions of the public sizes, never of
+// the hand-off granularity or of table contents.
+func checkBatchAndContentFree(t *testing.T, label string, o Options, sql string, tables map[string][]table.Row) {
 	t.Helper()
-	if !reflect.DeepEqual(streamed, materialized) {
-		t.Fatalf("%s: streamed result diverges:\n%v\nvs materialized\n%v", label, streamed, materialized)
-	}
-	if ss.TraceHash != ms.TraceHash {
-		t.Fatalf("%s: streamed trace hash %s != materialized %s", label, ss.TraceHash, ms.TraceHash)
-	}
-	if ss.TraceEvents != ms.TraceEvents {
-		t.Fatalf("%s: trace events %d != %d", label, ss.TraceEvents, ms.TraceEvents)
-	}
-	if ss.Comparators != ms.Comparators {
-		t.Fatalf("%s: comparators %d != %d", label, ss.Comparators, ms.Comparators)
+	var first pinnedRun
+	for i, tabs := range []map[string][]table.Row{tables, renamePayloads(tables)} {
+		for j, b := range []int{16, 128} {
+			o.StreamBatch = b
+			lbl := fmt.Sprintf("%s/b=%d/renamed=%t", label, b, i == 1)
+			res, got := streamedRun(t, o, sql, tabs)
+			checkReference(t, lbl, sql, tabs, res)
+			if got.peak <= 0 {
+				t.Fatalf("%s: peak bytes not reported", lbl)
+			}
+			if i == 0 && j == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: trace %+v, want %+v", lbl, got, first)
+			}
+		}
 	}
 }
 
 // TestStreamedMatchesMaterializedCorpus: every corpus query, under
-// every store mode, produces identical rows, comparator counts and
-// bit-identical canonical trace hashes in streaming and materialized
-// execution.
+// every store mode, returns the rows of the materialized reference
+// executor (ref_test.go) and reproduces its pinned trace hash, event
+// count, comparator count and peak (pin_test.go) — over the pinned
+// catalog and over a catalog with the same public sizes but different
+// payloads.
 func TestStreamedMatchesMaterializedCorpus(t *testing.T) {
 	for _, mode := range storeModes {
 		for _, sql := range queryCorpus {
-			var o Options
-			mode.set(&o)
-			s, m, ss, ms := queryBoth(t, o, sql, corpusCatalog("x"))
-			checkEqual(t, fmt.Sprintf("%s/%q", mode.name, sql), s, m, ss, ms)
+			want := pinFor(t, mode.name, sql)
+			for _, payload := range []string{"x", "y"} {
+				var o Options
+				mode.set(&o)
+				tables := corpusCatalog(payload)
+				res, got := streamedRun(t, o, sql, tables)
+				label := fmt.Sprintf("%s/%s/%q", mode.name, payload, sql)
+				checkReference(t, label, sql, tables, res)
+				if got != want {
+					t.Fatalf("%s: got %+v, pinned %+v", label, got, want)
+				}
+			}
 		}
 	}
 }
 
 // TestStreamedMatchesMaterializedSizes sweeps the boundary input sizes
-// around the batch width — 1, B−1, B, B+1 and a many-batch 4096 — and
-// several batch widths, for every store mode, over a
-// scan→filter→distinct→sort→limit chain (every streamable stage).
+// around both batch widths — 1, B−1, B, B+1 and a many-batch 4096 —
+// for every store mode, over a scan→filter→distinct→sort→limit chain
+// (every streamable stage), against the materialized reference
+// executor.
 func TestStreamedMatchesMaterializedSizes(t *testing.T) {
 	const sql = "SELECT DISTINCT key, data FROM t WHERE key > 5 ORDER BY key LIMIT 1000"
-	batches := []int{16, 128}
+	sizes := []int{1, 15, 16, 17, 127, 128, 129, 4096}
 	if testing.Short() {
-		batches = []int{16}
+		sizes = []int{1, 15, 16, 17, 129, 4096}
 	}
-	for _, b := range batches {
-		sizes := []int{1, b - 1, b, b + 1, 4096}
-		for _, mode := range storeModes {
-			for _, n := range sizes {
-				if n < 1 {
-					continue
-				}
-				rows := make([]table.Row, n)
-				for i := range rows {
-					rows[i] = table.Row{J: uint64(i % 97), D: table.MustData(fmt.Sprintf("d%d", i%13))}
-				}
-				o := Options{StreamBatch: b}
-				mode.set(&o)
-				s, m, ss, ms := queryBoth(t, o, sql, map[string][]table.Row{"t": rows})
-				checkEqual(t, fmt.Sprintf("%s/b=%d/n=%d", mode.name, b, n), s, m, ss, ms)
-				if ss.PeakBytes <= 0 || ms.PeakBytes <= 0 {
-					t.Fatalf("%s/b=%d/n=%d: peak bytes not reported (%d, %d)",
-						mode.name, b, n, ss.PeakBytes, ms.PeakBytes)
-				}
-				if ss.PeakBytes > ms.PeakBytes {
-					t.Fatalf("%s/b=%d/n=%d: streamed peak %d exceeds materialized %d",
-						mode.name, b, n, ss.PeakBytes, ms.PeakBytes)
-				}
+	for _, mode := range storeModes {
+		for _, n := range sizes {
+			rows := make([]table.Row, n)
+			for i := range rows {
+				rows[i] = table.Row{J: uint64(i % 97), D: table.MustData(fmt.Sprintf("d%d", i%13))}
 			}
+			var o Options
+			mode.set(&o)
+			checkBatchAndContentFree(t, fmt.Sprintf("%s/n=%d", mode.name, n), o, sql, map[string][]table.Row{"t": rows})
 		}
 	}
 }
 
 // TestStreamedJoinMatchesMaterialized covers the feed-based join path
 // (filter upstream of a join, rekey downstream) at batch-boundary
-// sizes.
+// sizes, against the materialized reference executor.
 func TestStreamedJoinMatchesMaterialized(t *testing.T) {
 	const sql = "SELECT key, left.data, right.data FROM l JOIN r USING (key) WHERE key < 60 ORDER BY key"
 	for _, mode := range storeModes {
@@ -132,9 +163,7 @@ func TestStreamedJoinMatchesMaterialized(t *testing.T) {
 			}
 			var o Options
 			mode.set(&o)
-			o.StreamBatch = 16
-			s, m, ss, ms := queryBoth(t, o, sql, map[string][]table.Row{"l": l, "r": r})
-			checkEqual(t, fmt.Sprintf("join/%s/n=%d", mode.name, n), s, m, ss, ms)
+			checkBatchAndContentFree(t, fmt.Sprintf("join/%s/n=%d", mode.name, n), o, sql, map[string][]table.Row{"l": l, "r": r})
 		}
 	}
 }
@@ -158,14 +187,14 @@ func (c *collectSink) Rows(rows [][]string) error {
 }
 
 // TestRunStreamSinkDelivery: sink-mode execution delivers the same
-// columns and rows Run materializes, with the same trace, and reports
-// a peak no larger than the materialized run's.
+// columns and rows Run returns, with the same trace, and reports a
+// peak no larger than the result-materializing run's.
 func TestRunStreamSinkDelivery(t *testing.T) {
 	rows := make([]table.Row, 1000)
 	for i := range rows {
 		rows[i] = table.Row{J: uint64(i % 31), D: table.MustData(fmt.Sprintf("v%d", i))}
 	}
-	tables := map[string][]table.Row{"t": rows}
+	tables := map[string][]table.Row{"t": rows, "u": seqTable(0, 31, "u")}
 	queries := []struct {
 		sql string
 		// strictPeak marks queries whose peak is the materialized
@@ -174,6 +203,8 @@ func TestRunStreamSinkDelivery(t *testing.T) {
 	}{
 		{"SELECT key, data FROM t", true},
 		{"SELECT key, data FROM t WHERE key >= 4 ORDER BY key", false},
+		{"SELECT key, left.data, right.data FROM t JOIN u USING (key)", false},
+		{"SELECT key, COUNT(*) FROM t GROUP BY key", false},
 	}
 	for _, qc := range queries {
 		pipeline := lowerSQL(t, qc.sql, tables)
@@ -188,7 +219,7 @@ func TestRunStreamSinkDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(sink.cols, res.Columns) || !reflect.DeepEqual(sink.rows, res.Rows) {
-			t.Fatalf("%q: sink delivery diverges from materialized result", qc.sql)
+			t.Fatalf("%q: sink delivery diverges from the returned result", qc.sql)
 		}
 		if sps.TraceHash != ps.TraceHash {
 			t.Fatalf("%q: sink trace hash %s != run trace hash %s", qc.sql, sps.TraceHash, ps.TraceHash)
@@ -356,11 +387,34 @@ func TestStreamedCancellation(t *testing.T) {
 }
 
 // TestStreamerInterfaces pins which operators advertise the streaming
-// contract.
+// contract, and that the row-level stages have no form over a whole
+// materialized relation.
 func TestStreamerInterfaces(t *testing.T) {
 	for _, op := range []exec.Operator{exec.Filter{}, exec.Distinct{}, exec.Sort{}, exec.Semijoin{}, exec.Limit{}} {
 		if _, ok := op.(exec.Streamer); !ok {
 			t.Fatalf("%T does not implement Streamer", op)
+		}
+	}
+	for _, op := range []exec.Operator{exec.Filter{}, exec.Distinct{}, exec.Semijoin{}, exec.Join{}, exec.Rekey{}} {
+		if _, ok := op.(exec.Runner); ok {
+			t.Fatalf("%T implements Runner", op)
+		}
+	}
+}
+
+// TestStreamDriverRejectsMisplacedStages: a stage fed a relation shape
+// it has no form for — a pipeline the planner never lowers — fails
+// with ErrInternal instead of running.
+func TestStreamDriverRejectsMisplacedStages(t *testing.T) {
+	tables := map[string][]table.Row{"t": seqTable(0, 4, "v")}
+	project := exec.Project{Items: []exec.ProjItem{{Col: exec.ColKey}}}
+	for i, pipeline := range [][]exec.Operator{
+		{exec.Scan{Table: "t"}, exec.Rekey{}, project},
+		{exec.Scan{Table: "t"}, exec.GroupBy{}, exec.Join{Table: "t"}, project},
+		{exec.Scan{Table: "t"}, exec.GroupBy{}, exec.Filter{}, project},
+	} {
+		if _, _, err := Run(context.Background(), Options{}, nil, tables, pipeline); !errors.Is(err, ErrInternal) {
+			t.Fatalf("pipeline %d: err = %v, want ErrInternal", i, err)
 		}
 	}
 }

@@ -26,9 +26,11 @@ type sharded interface {
 // RunBuffer and Flush replays the buffered writes into the real
 // recorder: a streaming fill interleaves upstream drain reads with its
 // own writes in time, but the recorded canonical order stays
-// "all upstream reads, then all fill writes" — bit-identical to the
-// materialized executor's collect-then-load order. Run-length buffering
-// keeps the deferred trace proportional to the number of batches.
+// "all upstream reads, then all fill writes", whatever the batch width.
+// That keeps the trace a function of the public sizes alone (the
+// canonical traces are pinned by core.TestCanonicalTracePinned and
+// query.TestStreamTracePinned). Run-length buffering keeps the
+// deferred trace proportional to the number of batches.
 type Builder struct {
 	st      Store
 	w       Store // write target: trace-deferred shard, or st itself

@@ -14,11 +14,9 @@ import (
 // with it. Peak is therefore the run's peak outstanding engine
 // allocation — a deterministic, GC-independent function of the plan and
 // the (public) table sizes, which is what makes it safe to gate in CI
-// and meaningful for admission control. The materialized executor never
-// discharges mid-run (mirroring the legacy pipeline, which dropped
-// intermediates only to the garbage collector), so its peak is the sum
-// of all intermediates; the streaming executor's is the largest single
-// stage.
+// and meaningful for admission control. Because the executor discharges
+// each intermediate once drained, the peak is the largest single stage,
+// not the sum of all intermediates.
 //
 // A Gauge is safe for concurrent use; the registry also carries cleanup
 // hooks (spill-file deletion), so ReleaseAll at the end of a run frees

@@ -7,9 +7,9 @@ package trace
 // upstream drain, the fill's write events land here (one run record per
 // batched range write, 24 bytes), and ReplayTo emits them into the real
 // recorder once the drain is finished — restoring the canonical
-// "all upstream reads, then all downstream writes" order that the
-// materialized executor produces naturally. Memory stays proportional
-// to the number of batches, not the number of events.
+// "all upstream reads, then all downstream writes" order, so the trace
+// does not depend on the batch width. Memory stays proportional to the
+// number of batches, not the number of events.
 type RunBuffer struct {
 	runs []eventRun
 }

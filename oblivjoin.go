@@ -166,21 +166,18 @@ type Options struct {
 	// SGXSim is set (0 keeps the default 93 MiB). Shrinking it lets
 	// small experiments reproduce the paging bend of Figure 8.
 	EPCBytes int64
-	// Parallel fans the sorting networks, the routing network and the
-	// linear scans out across a persistent worker pool (the paper's
-	// §6.2 parallelization note: sorting networks have O(log² n)
-	// depth). Every phase executes the same round schedule as the
+	// Workers sets the parallelism degree of the sorting networks, the
+	// routing network and the linear scans (the paper's §6.2
+	// parallelization note: sorting networks have O(log² n) depth):
+	// > 1 lanes of a persistent worker pool, 1 or 0 sequential, < 0
+	// GOMAXPROCS. Every phase executes the same round schedule as the
 	// sequential run, and instrumentation is sharded per worker and
-	// merged deterministically at round barriers, so Parallel composes
+	// merged deterministically at round barriers, so Workers composes
 	// with TraceHash (identical canonical hash), CollectStats
 	// (identical counts) and MergeExchange. Under SGXSim the enclave
 	// cost model's paging state is order-dependent, so the stores
 	// refuse to shard and execution degrades to the sequential
 	// schedule — same trace, no speedup.
-	Parallel bool
-	// Workers pins the exact parallelism degree: > 1 lanes, 1
-	// sequential, 0 defers to Parallel (GOMAXPROCS when set, else
-	// sequential), < 0 forces GOMAXPROCS.
 	Workers int
 }
 
@@ -285,7 +282,6 @@ func Join(left, right *Table, opts *Options) (retRes *Result, retErr error) {
 			Probabilistic: opts.Probabilistic,
 			Seed:          opts.Seed,
 			Stats:         &coreStats,
-			Parallel:      opts.Parallel,
 			Workers:       opts.Workers,
 		}
 		if opts.MergeExchange {
