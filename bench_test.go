@@ -319,7 +319,7 @@ func BenchmarkAblationEncryption(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			sp := memory.NewSpace(nil, nil)
-			core.Join(&core.Config{Alloc: table.EncryptedAlloc(sp, cipher)}, t1, t2)
+			core.Join(&core.Config{Alloc: table.BlockEncryptedAlloc(sp, cipher, 1)}, t1, t2)
 		}
 	})
 }

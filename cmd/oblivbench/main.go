@@ -35,8 +35,8 @@
 // BENCH_join.json perf record), sql (the same comparison for the SQL
 // plan pipeline plus the planner's written-versus-greedy comparator
 // records, BENCH_sql.json; planner prints just the comparator table
-// without touching the JSON), sealed (plain vs per-entry sealed
-// vs block-sealed storage, BENCH_sealed.json) and stream (streaming
+// without touching the JSON), sealed (plain vs one-entry-per-block
+// sealed vs block-sealed storage, BENCH_sealed.json) and stream (streaming
 // peak memory and wall time with and without a result sink,
 // BENCH_stream.json) are opt-in: they run only with an explicit -exp
 // name, never under -exp all.

@@ -9,7 +9,7 @@
 //	-addr string        listen address (default ":8343")
 //	-workers int        parallel lanes per oblivious operator (0 sequential, <0 GOMAXPROCS)
 //	-encrypted          AES-seal every intermediate table entry
-//	-sealed-block int   entries per sealed ciphertext block (0 default 16, 1 per-entry; implies -encrypted)
+//	-sealed-block int   entries per sealed ciphertext block (0 default 16, 1 one entry per block; implies -encrypted)
 //	-sealed-catalog     AES-seal registered tables at rest
 //	-merge-exchange     Batcher's merge-exchange network instead of bitonic
 //	-shards int         hash-partition each join across this many
@@ -93,7 +93,7 @@ func main() {
 	addr := flag.String("addr", ":8343", "listen address")
 	workers := flag.Int("workers", 0, "parallel lanes per oblivious operator (0 sequential, <0 GOMAXPROCS)")
 	encrypted := flag.Bool("encrypted", false, "AES-seal every intermediate table entry")
-	sealedBlock := flag.Int("sealed-block", 0, "entries per sealed ciphertext block (0 = default 16, 1 = per-entry; implies -encrypted)")
+	sealedBlock := flag.Int("sealed-block", 0, "entries per sealed ciphertext block (0 = default 16, 1 = one entry per block; implies -encrypted)")
 	sealed := flag.Bool("sealed-catalog", false, "AES-seal registered tables at rest")
 	mergeEx := flag.Bool("merge-exchange", false, "use Batcher's merge-exchange sorting network")
 	stats := flag.Bool("stats", false, "collect PlanStats for every query by default")

@@ -16,7 +16,7 @@
 // AES-sealed entry store, and a per-operator execution report on
 // stderr (add -tracehash for the access-pattern digest;
 // -sealed-block sets the sealed store's entries-per-block granularity,
-// 1 for the per-entry store).
+// 1 for one entry per block).
 //
 // Supported grammar: SELECT [DISTINCT] items FROM t {JOIN tN USING
 // (key)} [WHERE pred] [GROUP BY key] [ORDER BY key] [LIMIT n]; see the
@@ -52,7 +52,7 @@ func main() {
 	explain := flag.Bool("explain", false, "print the oblivious plan instead of executing")
 	workers := flag.Int("workers", 0, "parallel lanes for the oblivious operators (0 = sequential, < 0 = GOMAXPROCS)")
 	encrypted := flag.Bool("encrypted", false, "keep intermediate entries AES-sealed in public memory")
-	sealedBlock := flag.Int("sealed-block", 0, "entries per sealed ciphertext block (0 = default 16, 1 = per-entry; implies -encrypted)")
+	sealedBlock := flag.Int("sealed-block", 0, "entries per sealed ciphertext block (0 = default 16, 1 = one entry per block; implies -encrypted)")
 	stats := flag.Bool("stats", false, "print a per-operator execution report to stderr")
 	traceHash := flag.Bool("tracehash", false, "also compute the SHA-256 access-pattern digest (implies -stats)")
 	memBudget := flag.Int64("mem-budget", 0, "bound tracked run memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")

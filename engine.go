@@ -61,9 +61,9 @@ func WithEncryptedStore() EngineOption {
 }
 
 // WithSealedBlock sets the sealed store's granularity — entries per
-// ciphertext block — and implies WithEncryptedStore. 1 selects the
-// per-entry store (one nonce and MAC per entry); larger blocks
-// amortize one crypto operation over more entries. Results and
+// ciphertext block — and implies WithEncryptedStore. 1 = one entry per
+// block (one nonce and tag per entry); larger blocks amortize one
+// crypto operation over more entries. Results and
 // canonical traces are identical at every granularity.
 func WithSealedBlock(b int) EngineOption {
 	return func(c *service.Config) { c.Defaults.Encrypted = true; c.Defaults.SealedBlock = b }

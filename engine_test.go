@@ -107,7 +107,7 @@ func TestEngineOptionEquivalence(t *testing.T) {
 	}
 	par, parHash := run(WithWorkers(4))
 	enc, encHash := run(WithEncryptedStore())
-	pe, peHash := run(WithSealedBlock(1))                   // per-entry sealed
+	pe, peHash := run(WithSealedBlock(1))                   // one entry per block
 	blk, blkHash := run(WithSealedBlock(5), WithWorkers(3)) // odd block size, parallel
 	if !reflect.DeepEqual(par, seq) || !reflect.DeepEqual(enc, seq) ||
 		!reflect.DeepEqual(pe, seq) || !reflect.DeepEqual(blk, seq) {

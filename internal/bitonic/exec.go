@@ -11,8 +11,8 @@ import (
 // and writes. Implementations must emit exactly the per-element events
 // of the equivalent Get/Set loop, in ascending index order, with the
 // whole range handled in one dynamic dispatch. *memory.Array[T],
-// *table.Encrypted and the windowed views of internal/core implement
-// it.
+// *table.BlockEncrypted and the windowed views of internal/core
+// implement it.
 type RangeArray[T any] interface {
 	Array[T]
 	GetRange(lo int, dst []T)

@@ -316,7 +316,7 @@ func TestJoinParallelOverEncryptedStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	t1, t2 := genWorkload("powerlaw", 60, rng)
 	sp := memory.NewSpace(nil, nil)
-	cfg := &Config{Alloc: table.EncryptedAlloc(sp, c), Workers: 4}
+	cfg := &Config{Alloc: table.BlockEncryptedAlloc(sp, c, 1), Workers: 4}
 	checkJoin(t, cfg, t1, t2)
 }
 
@@ -519,14 +519,11 @@ func TestSpaceUsage(t *testing.T) {
 	}
 }
 
+// TestJoinOverEncryptedStore runs the join over entries sealed one per
+// block.
 func TestJoinOverEncryptedStore(t *testing.T) {
-	sp := memory.NewSpace(nil, nil)
-	cfg := plainConfig()
-	_ = sp
-	// swap in encrypted allocator
 	c := newTestCipher(t)
-	sp2 := memory.NewSpace(nil, nil)
-	cfg = &Config{Alloc: table.EncryptedAlloc(sp2, c)}
+	cfg := &Config{Alloc: table.BlockEncryptedAlloc(memory.NewSpace(nil, nil), c, 1)}
 	t1, t2 := genWorkload("powerlaw", 20, rand.New(rand.NewSource(21)))
 	checkJoin(t, cfg, t1, t2)
 }

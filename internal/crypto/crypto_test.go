@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -67,6 +65,7 @@ func TestOpenDetectsTampering(t *testing.T) {
 	sealed := make([]byte, SealedLen(len(pt)))
 	c.Seal(sealed, pt)
 	out := make([]byte, len(pt))
+	// One byte each of the nonce, the body and the tag.
 	for _, pos := range []int{0, 16, len(sealed) - 1} {
 		mut := append([]byte(nil), sealed...)
 		mut[pos] ^= 0x01
@@ -80,55 +79,6 @@ func TestOpenTooShort(t *testing.T) {
 	c := newTestCipher(t)
 	if err := c.Open(nil, make([]byte, Overhead-1)); err == nil {
 		t.Fatal("expected error for truncated ciphertext")
-	}
-}
-
-func TestResealChangesBytesPreservesPlaintext(t *testing.T) {
-	c := newTestCipher(t)
-	pt := []byte("row: (x, a1, 2, 3)")
-	sealed := make([]byte, SealedLen(len(pt)))
-	c.Seal(sealed, pt)
-	resealed := make([]byte, len(sealed))
-	if err := c.Reseal(resealed, sealed); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(resealed, sealed) {
-		t.Fatal("Reseal produced identical ciphertext (not probabilistic)")
-	}
-	out := make([]byte, len(pt))
-	if err := c.Open(out, resealed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, pt) {
-		t.Fatal("Reseal changed plaintext")
-	}
-}
-
-func TestResealInPlace(t *testing.T) {
-	c := newTestCipher(t)
-	pt := []byte("in-place")
-	sealed := make([]byte, SealedLen(len(pt)))
-	c.Seal(sealed, pt)
-	if err := c.Reseal(sealed, sealed); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, len(pt))
-	if err := c.Open(out, sealed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, pt) {
-		t.Fatal("in-place Reseal corrupted entry")
-	}
-}
-
-func TestResealRejectsTampered(t *testing.T) {
-	c := newTestCipher(t)
-	pt := []byte("x")
-	sealed := make([]byte, SealedLen(len(pt)))
-	c.Seal(sealed, pt)
-	sealed[3] ^= 0xff
-	if err := c.Reseal(sealed, sealed); err != ErrAuth {
-		t.Fatalf("err = %v, want ErrAuth", err)
 	}
 }
 
@@ -174,24 +124,23 @@ func TestSealedLen(t *testing.T) {
 }
 
 // refOpen is a reference Open built directly on the standard library's
-// cipher.NewCTR and crypto/hmac, re-deriving the keys the way New does.
-// It pins Seal's wire format: the hand-rolled CTR and HMAC inside the
-// package must be bit-compatible with the canonical constructions.
+// AES-GCM with a 16-byte nonce, keyed the way New keys it. It pins
+// Seal's wire format: nonce ‖ GCM ciphertext ‖ GCM tag, under AES-128
+// on the first 16 bytes of the master key.
 func refOpen(t *testing.T, master, sealed []byte) ([]byte, error) {
 	t.Helper()
 	block, err := aes.NewCipher(master[:16])
 	if err != nil {
 		t.Fatal(err)
 	}
-	macKey := sha256.Sum256(master[16:])
-	n := len(sealed) - Overhead
-	mac := hmac.New(sha256.New, macKey[:])
-	mac.Write(sealed[:aes.BlockSize+n])
-	if !hmac.Equal(mac.Sum(nil), sealed[aes.BlockSize+n:]) {
+	aead, err := cipher.NewGCMWithNonceSize(block, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := aead.Open(nil, sealed[:16], sealed[16:], nil)
+	if err != nil {
 		return nil, ErrAuth
 	}
-	out := make([]byte, n)
-	cipher.NewCTR(block, sealed[:aes.BlockSize]).XORKeyStream(out, sealed[aes.BlockSize:aes.BlockSize+n])
 	return out, nil
 }
 
@@ -217,6 +166,30 @@ func TestSealMatchesReferenceConstruction(t *testing.T) {
 		}
 		if !bytes.Equal(out, pt) {
 			t.Fatalf("n=%d: reference open decrypted wrong plaintext", n)
+		}
+
+		// The same holds for every record of a SealRange run, whose
+		// nonces are the Cipher's prefix ‖ consecutive counters.
+		if n == 0 {
+			continue // SealRange needs a positive record size
+		}
+		const k = 3
+		rec := SealedLen(n)
+		run := make([]byte, k*rec)
+		c.SealRange(run, bytes.Repeat(pt, k), n)
+		first := binary.BigEndian.Uint64(run[8:16])
+		for r := 0; r < k; r++ {
+			nonce := run[r*rec : r*rec+16]
+			if !bytes.Equal(nonce[:8], sealed[:8]) || binary.BigEndian.Uint64(nonce[8:]) != first+uint64(r) {
+				t.Fatalf("n=%d record %d: nonce %x is not prefix ‖ counter %d", n, r, nonce, first+uint64(r))
+			}
+			out, err := refOpen(t, master, run[r*rec:(r+1)*rec])
+			if err != nil {
+				t.Fatalf("n=%d record %d: reference open rejected SealRange output: %v", n, r, err)
+			}
+			if !bytes.Equal(out, pt) {
+				t.Fatalf("n=%d record %d: reference open decrypted wrong plaintext", n, r)
+			}
 		}
 	}
 }
@@ -280,10 +253,10 @@ func TestOpenRangeDetectsTamperedRecord(t *testing.T) {
 }
 
 // TestNonceUniqueAcrossConcurrentSealRange hammers one Cipher from many
-// goroutines and asserts that every sealed record carries a distinct
-// nonce and a distinct keystream-block reservation — the property CTR
-// security rests on. Run under -race it also exercises the atomic
-// reservation path for data races.
+// goroutines, mixing SealRange and Seal, and asserts that every sealed
+// record carries a distinct nonce — the property GCM security rests on.
+// Run under -race it also exercises the atomic reservation path for
+// data races.
 func TestNonceUniqueAcrossConcurrentSealRange(t *testing.T) {
 	c := newTestCipher(t)
 	const (
@@ -292,6 +265,7 @@ func TestNonceUniqueAcrossConcurrentSealRange(t *testing.T) {
 		k          = 16
 		ptLen      = 72
 	)
+	recLen := SealedLen(ptLen)
 	out := make([][]byte, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -299,39 +273,32 @@ func TestNonceUniqueAcrossConcurrentSealRange(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			plain := make([]byte, k*ptLen)
-			buf := make([]byte, 0, ranges*k*SealedLen(ptLen))
+			buf := make([]byte, 0, ranges*(k+1)*recLen)
 			for r := 0; r < ranges; r++ {
-				sealed := make([]byte, k*SealedLen(ptLen))
+				sealed := make([]byte, k*recLen)
 				c.SealRange(sealed, plain, ptLen)
 				buf = append(buf, sealed...)
+				one := make([]byte, recLen)
+				c.Seal(one, plain[:ptLen])
+				buf = append(buf, one...)
 			}
 			out[g] = buf
 		}(g)
 	}
 	wg.Wait()
-	recLen := SealedLen(ptLen)
-	bpr := (ptLen + aes.BlockSize - 1) / aes.BlockSize
-	seen := make(map[[aes.BlockSize]byte]bool)
-	starts := make(map[uint64]bool)
+	seen := make(map[[16]byte]bool)
 	for _, buf := range out {
 		for off := 0; off+recLen <= len(buf); off += recLen {
-			var nonce [aes.BlockSize]byte
-			copy(nonce[:], buf[off:off+aes.BlockSize])
+			var nonce [16]byte
+			copy(nonce[:], buf[off:off+16])
 			if seen[nonce] {
-				t.Fatal("duplicate nonce across concurrent SealRange calls")
+				t.Fatal("duplicate nonce across concurrent Seal/SealRange calls")
 			}
 			seen[nonce] = true
-			start := binary.BigEndian.Uint64(nonce[8:])
-			for b := uint64(0); b < uint64(bpr); b++ {
-				if starts[start+b] {
-					t.Fatal("overlapping keystream-block reservation")
-				}
-				starts[start+b] = true
-			}
 		}
 	}
-	if len(seen) != goroutines*ranges*k {
-		t.Fatalf("collected %d nonces, want %d", len(seen), goroutines*ranges*k)
+	if want := goroutines * ranges * (k + 1); len(seen) != want {
+		t.Fatalf("collected %d nonces, want %d", len(seen), want)
 	}
 }
 
@@ -344,12 +311,8 @@ func TestSealedPathAllocFree(t *testing.T) {
 	sealed := make([]byte, k*SealedLen(ptLen))
 	one := make([]byte, SealedLen(ptLen))
 	out := make([]byte, ptLen)
-	// Warm the scratch pool (and Reseal's staging buffer) first.
 	c.SealRange(sealed, plain, ptLen)
 	c.Seal(one, plain[:ptLen])
-	if err := c.Reseal(one, one); err != nil {
-		t.Fatal(err)
-	}
 	checks := []struct {
 		name string
 		fn   func()
@@ -357,11 +320,6 @@ func TestSealedPathAllocFree(t *testing.T) {
 		{"Seal", func() { c.Seal(one, plain[:ptLen]) }},
 		{"Open", func() {
 			if err := c.Open(out, one); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Reseal", func() {
-			if err := c.Reseal(one, one); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -387,20 +345,6 @@ func BenchmarkSeal64(b *testing.B) {
 	b.SetBytes(64)
 	for i := 0; i < b.N; i++ {
 		c.Seal(sealed, pt)
-	}
-}
-
-func BenchmarkReseal64(b *testing.B) {
-	key := make([]byte, 32)
-	c, _ := New(key)
-	pt := make([]byte, 64)
-	sealed := make([]byte, SealedLen(64))
-	c.Seal(sealed, pt)
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		if err := c.Reseal(sealed, sealed); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

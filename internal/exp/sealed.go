@@ -16,8 +16,8 @@ import (
 
 // SealedBenchResult is one row of the sealed-storage benchmark: the
 // wall times and heap allocations of a bitonic sort and of the full
-// join pipeline over plain, per-entry sealed and block-sealed storage
-// at one input size, plus the determinism evidence that all three
+// join pipeline over plain, sealed (one entry per block) and
+// block-sealed storage at one input size, plus the determinism evidence that all three
 // stores record the identical canonical trace. As with the join bench,
 // every record carries an explicit hash verdict or an explicit skip
 // reason.
@@ -50,7 +50,7 @@ type SealedBenchResult struct {
 	BlockTotalBytes  int64 `json:"block_total_alloc_bytes"`
 
 	// SealedOverBlock is the speedup of the block-sealed join over the
-	// per-entry sealed join (sealed_join_ns / block_join_ns).
+	// one-entry-per-block sealed join (sealed_join_ns / block_join_ns).
 	SealedOverBlock float64 `json:"sealed_over_block"`
 
 	TraceDetEvents bool   `json:"trace_event_counts_equal"`
@@ -66,8 +66,8 @@ type sealedAlloc struct {
 }
 
 // BenchSealed times a 2n-entry bitonic sort and the full join pipeline
-// over plain, per-entry sealed and block-sealed storage at each input
-// size, verifying that the three backends record identical canonical
+// over plain, sealed (one entry per block) and block-sealed storage at
+// each input size, verifying that the three backends record identical canonical
 // traces (event counts always; hashes up to hashCheckCap). workers ≤ 0
 // means GOMAXPROCS; block ≤ 0 selects table.DefaultSealedBlock.
 func BenchSealed(w io.Writer, ns []int, workers, block int) ([]SealedBenchResult, error) {
@@ -83,10 +83,10 @@ func BenchSealed(w io.Writer, ns []int, workers, block int) ([]SealedBenchResult
 	}
 	backends := []sealedAlloc{
 		{"plain", table.PlainAlloc},
-		{"sealed", func(sp *memory.Space) table.Alloc { return table.EncryptedAlloc(sp, cipher) }},
+		{"sealed", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 1) }},
 		{"block-sealed", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, block) }},
 	}
-	fmt.Fprintf(w, "Sealed-storage benchmark — plain vs per-entry sealed vs block-sealed (B=%d, workers=%d, tracing on)\n",
+	fmt.Fprintf(w, "Sealed-storage benchmark — plain vs sealed (B=1) vs block-sealed (B=%d, workers=%d, tracing on)\n",
 		block, workers)
 	fmt.Fprintf(w, "%8s %14s %14s %14s %14s %14s %14s %9s %s\n",
 		"n", "plain sort", "sealed sort", "block sort", "plain join", "sealed join", "block join", "blk-gain", "trace")

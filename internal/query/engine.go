@@ -28,11 +28,11 @@ type Options struct {
 	// memory under a per-engine random key.
 	Encrypted bool
 	// SealedBlock sets the sealed store's granularity when Encrypted
-	// is on: entries per ciphertext block. 0 selects the default block
-	// store (table.DefaultSealedBlock entries per block); 1 selects
-	// the legacy per-entry store; larger values amortize one nonce and
-	// MAC over more entries per crypto operation. Results and traces
-	// are identical at every granularity.
+	// is on: entries per ciphertext block. 0 selects the default width
+	// (table.DefaultSealedBlock entries per block); 1 = one entry per
+	// block; larger values amortize one nonce and tag over more
+	// entries per crypto operation. Results and traces are identical
+	// at every granularity.
 	SealedBlock int
 	// MergeExchange selects Batcher's odd-even merge-exchange network
 	// instead of the bitonic default.

@@ -121,14 +121,9 @@ func batchWidth(opts Options) int {
 // is 0.
 func allocStack(opts Options, cipher, sc *crypto.Cipher, rec trace.Recorder, budget int64) (table.Alloc, *table.Gauge) {
 	sp := memory.NewSpace(rec, nil)
-	var alloc table.Alloc
-	switch {
-	case opts.Encrypted && opts.SealedBlock == 1:
-		alloc = table.EncryptedAlloc(sp, cipher)
-	case opts.Encrypted:
+	alloc := table.PlainAlloc(sp)
+	if opts.Encrypted {
 		alloc = table.BlockEncryptedAlloc(sp, cipher, opts.SealedBlock)
-	default:
-		alloc = table.PlainAlloc(sp)
 	}
 	g := &table.Gauge{}
 	alloc = table.TrackedAlloc(alloc, g)
@@ -195,15 +190,11 @@ func unitFactory(ctx context.Context, opts Options, cipher, sc *crypto.Cipher, n
 // modeFootprint returns the in-memory footprint model of the run's
 // store mode, used to predict whether an allocation fits the budget.
 func modeFootprint(opts Options) func(n int) int64 {
-	switch {
-	case opts.Encrypted && opts.SealedBlock == 1:
-		return table.EncryptedFootprint
-	case opts.Encrypted:
-		bw := blockUnit(opts)
-		return func(n int) int64 { return table.BlockFootprint(n, bw) }
-	default:
+	if !opts.Encrypted {
 		return table.PlainFootprint
 	}
+	bw := blockUnit(opts)
+	return func(n int) int64 { return table.BlockFootprint(n, bw) }
 }
 
 func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[string][]table.Row, pipeline []exec.Operator, sink exec.RowSink) (res *Result, ps *PlanStats, err error) {

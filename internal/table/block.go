@@ -8,26 +8,39 @@ import (
 	"oblivjoin/internal/trace"
 )
 
+// SealedSize is the public width of one entry sealed on its own (a
+// block of width 1): plaintext plus nonce and tag overhead. The enclave
+// cost model charges every sealed-store access at this width, whatever
+// the block width.
+const SealedSize = EncodedSize + crypto.Overhead
+
 // DefaultSealedBlock is the default number of entries per sealed block
 // of a BlockEncrypted store: large enough to amortize the per-record
-// nonce and MAC across a batch, small enough that the read-modify-write
+// nonce and tag across a batch, small enough that the read-modify-write
 // a single Set performs stays cheap.
 const DefaultSealedBlock = 16
 
 // BlockEncrypted is a Store whose entries live sealed in public memory
 // in blocks of B entries per ciphertext record: a k-entry range
 // operation costs ⌈k/B⌉+1 crypto operations instead of k, which is
-// what makes the sealed hot path batch-granular.
+// what makes the sealed hot path batch-granular. Every Get
+// authenticates and decrypts; every Set re-encrypts under a fresh
+// nonce, so overwriting an entry with its previous value is
+// indistinguishable from a real update — the property that makes the
+// sorting network's dummy write-backs safe (§3.5). B = 1 seals each
+// entry on its own.
 //
 // The observable access pattern is unchanged: every logical entry
 // access emits exactly the per-entry trace event of the plain store
-// (same array identifier, same index, same order), so plain, per-entry
-// sealed and block-sealed runs of the same computation produce
-// bit-identical canonical traces. Physically the untrusted memory is
-// read and written at block granularity; since block boundaries are a
-// fixed public function of the entry index (block = index / B), the
-// physical pattern is a deterministic function of the logical trace
-// and leaks nothing beyond it.
+// (same array identifier, same index, same order), through a
+// zero-width traced array that aliases the plain store's indices
+// one-to-one, so plain and block-sealed runs of the same computation
+// produce bit-identical canonical traces at every block width.
+// Physically the untrusted memory is read and written at block
+// granularity; since block boundaries are a fixed public function of
+// the entry index (block = index / B), the physical pattern is a
+// deterministic function of the logical trace and leaks nothing beyond
+// it.
 //
 // A Set (or a range write covering part of a block) re-seals the whole
 // block: it opens the block, splices the new entries in, and seals it
@@ -37,9 +50,9 @@ const DefaultSealedBlock = 16
 // order, so there is no deadlock.
 //
 // The enclave cost model, like the trace, is charged at logical-entry
-// granularity (SealedSize bytes per access, matching the per-entry
-// store) by design: cost-modeled runs stay comparable across store
-// granularities. It deliberately does not model the ~B× physical
+// granularity (SealedSize bytes per access, the width of one entry
+// sealed alone) by design: cost-modeled runs stay comparable across
+// store granularities. It deliberately does not model the ~B× physical
 // amplification of a point access against a block-sealed store.
 type BlockEncrypted struct {
 	ev *memory.Array[struct{}] // per-entry trace/cost emitter
@@ -64,8 +77,12 @@ func (st *blockState) block(k int) []byte { return st.ct[k*st.unit : (k+1)*st.un
 // s, sealed under c, with b entries per block (b ≤ 0 selects
 // DefaultSealedBlock). The final block is padded with zero entries to
 // the full block width; the padding is sealed like everything else and
-// never addressable through the Store interface. As with NewEncrypted,
-// initialization bypasses the trace.
+// never addressable through the Store interface. Every block starts as
+// a valid ciphertext of zero entries, so a Get before the first Set
+// authenticates. The initialization writes bypass the trace: like the
+// allocation itself they are a fixed function of the public size n,
+// and keeping them out of the event stream makes a sealed run's trace
+// identical to a plain run's.
 func NewBlockEncrypted(s *memory.Space, c *crypto.Cipher, n, b int) *BlockEncrypted {
 	if b <= 0 {
 		b = DefaultSealedBlock
@@ -93,6 +110,34 @@ func NewBlockEncrypted(s *memory.Space, c *crypto.Cipher, n, b int) *BlockEncryp
 		st: st,
 	}
 }
+
+// initChunk bounds the plaintext staging buffer used when initializing
+// a sealed store, in entries.
+const initChunk = 1024
+
+// bufPool pools plaintext and ciphertext staging buffers for the sealed
+// stores, so hot sorting rounds and scans do not allocate per call.
+var bufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 64<<10)
+		return &b
+	},
+}
+
+func getBuf(n int) (*[]byte, []byte) {
+	p := bufPool.Get().(*[]byte)
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	return p, (*p)[:n]
+}
+
+func putBuf(p *[]byte) { bufPool.Put(p) }
+
+// touches returns a zero-width slice for emitting an n-event trace run
+// through a memory.Array[struct{}]; it performs no allocation (zero-size
+// elements share the runtime's zero base).
+func touches(n int) []struct{} { return make([]struct{}, n) }
 
 // Len returns the number of logical entries.
 func (e *BlockEncrypted) Len() int { return e.st.n }
@@ -241,8 +286,11 @@ func (e *BlockEncrypted) Traced() bool { return e.ev.Traced() }
 func (e *BlockEncrypted) Recorder() trace.Recorder { return e.ev.Recorder() }
 
 // Shard returns an alias of the store recording to rec, for parallel
-// executors; nil when the underlying memory cannot be sharded. The
-// block state — cipher, ciphertexts and per-block locks — is shared.
+// executors (see bitonic.Sharder); nil when the underlying memory
+// cannot be sharded. The block state — cipher, ciphertexts and
+// per-block locks — is shared: the cipher is safe for concurrent use,
+// and the per-block locks serialize lanes that meet in a boundary
+// block.
 func (e *BlockEncrypted) Shard(rec trace.Recorder) any {
 	res := e.ev.Shard(rec)
 	if res == nil {

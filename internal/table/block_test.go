@@ -1,6 +1,8 @@
 package table
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -10,6 +12,15 @@ import (
 )
 
 func newBenchCipher() (*crypto.Cipher, []byte, error) { return crypto.NewRandom() }
+
+func newCipher(t *testing.T) *crypto.Cipher {
+	t.Helper()
+	c, _, err := newBenchCipher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func entryAt(i int) Entry {
 	return Entry{J: uint64(i * 7), TID: uint64(1 + i%2), A1: uint64(i), Null: uint64(i % 3 / 2)}
@@ -101,8 +112,8 @@ func TestBlockEncryptedPartialWritePreservesNeighbours(t *testing.T) {
 }
 
 // TestBlockEncryptedTraceMatchesPlain: the same access sequence against
-// a plain array, a per-entry sealed store and block-sealed stores of
-// several granularities must record bit-identical event logs — the
+// a plain array and block-sealed stores of several granularities
+// (including one entry per block) must record bit-identical event logs — the
 // invariant that makes sealed runs trace-equal to plain runs.
 func TestBlockEncryptedTraceMatchesPlain(t *testing.T) {
 	c := newCipher(t)
@@ -123,7 +134,6 @@ func TestBlockEncryptedTraceMatchesPlain(t *testing.T) {
 		var logs []*trace.Log
 		for _, mk := range []func(s *memory.Space) Store{
 			func(s *memory.Space) Store { return memory.Alloc[Entry](s, n, EncodedSize) },
-			func(s *memory.Space) Store { return NewEncrypted(s, c, n) },
 			func(s *memory.Space) Store { return NewBlockEncrypted(s, c, n, 0) },
 			func(s *memory.Space) Store { return NewBlockEncrypted(s, c, n, 5) },
 			func(s *memory.Space) Store { return NewBlockEncrypted(s, c, n, 1) },
@@ -197,8 +207,167 @@ func TestBlockEncryptedAlloc(t *testing.T) {
 	}
 }
 
-// TestStoreRangeOpsAllocFree: the per-entry and block-sealed stores
-// must not allocate per range call in steady state (untraced spaces;
+// ── one entry per block ─────────────────────────────────────────────
+//
+// The block store at B = 1 seals every entry on its own; these pin its
+// per-entry behaviour directly.
+
+func TestEncryptedRoundTrip(t *testing.T) {
+	enc := NewBlockEncrypted(memory.NewSpace(nil, nil), newCipher(t), 4, 1)
+	e := entryFixture()
+	enc.Set(2, e)
+	if got := enc.Get(2); got != e {
+		t.Fatalf("Get = %+v, want %+v", got, e)
+	}
+}
+
+func TestEncryptedZeroInitialized(t *testing.T) {
+	enc := NewBlockEncrypted(memory.NewSpace(nil, nil), newCipher(t), 3, 1)
+	var zero Entry
+	for i := 0; i < 3; i++ {
+		if got := enc.Get(i); got != zero {
+			t.Fatalf("slot %d = %+v, want zero entry", i, got)
+		}
+	}
+}
+
+// TestEncryptedCiphertextChangesOnRewrite: sealing is probabilistic, so
+// re-Setting an entry to its current value still changes its bytes.
+func TestEncryptedCiphertextChangesOnRewrite(t *testing.T) {
+	enc := NewBlockEncrypted(memory.NewSpace(nil, nil), newCipher(t), 1, 1)
+	e := entryFixture()
+	enc.Set(0, e)
+	ct1 := append([]byte(nil), enc.st.block(0)...)
+	enc.Set(0, e) // same logical value
+	if bytes.Equal(ct1, enc.st.block(0)) {
+		t.Fatal("rewriting identical entry produced identical ciphertext")
+	}
+	if enc.Get(0) != e {
+		t.Fatal("plaintext lost across rewrite")
+	}
+}
+
+// TestEncryptedPanicsOnTamper: a tampered entry unwinds as a typed
+// ErrSealedAuth fault.
+func TestEncryptedPanicsOnTamper(t *testing.T) {
+	enc := NewBlockEncrypted(memory.NewSpace(nil, nil), newCipher(t), 1, 1)
+	enc.st.ct[5] ^= 0xff
+	ferr := catchFault(t, func() { enc.Get(0) })
+	if !errors.Is(ferr, ErrSealedAuth) || !errors.Is(ferr, crypto.ErrAuth) {
+		t.Fatalf("fault = %v, want ErrSealedAuth wrapping crypto.ErrAuth", ferr)
+	}
+}
+
+func TestEncryptedEmitsTraceEvents(t *testing.T) {
+	log := trace.NewLog()
+	enc := NewBlockEncrypted(memory.NewSpace(log, nil), newCipher(t), 2, 1)
+	before := log.Len()
+	enc.Set(1, Entry{J: 5})
+	enc.Get(1)
+	if log.Len() != before+2 {
+		t.Fatalf("expected 2 events, got %d", log.Len()-before)
+	}
+}
+
+func TestAllocators(t *testing.T) {
+	s := memory.NewSpace(nil, nil)
+	plain := PlainAlloc(s)(5)
+	if plain.Len() != 5 {
+		t.Fatalf("plain Len = %d", plain.Len())
+	}
+	plain.Set(0, Entry{J: 1})
+	if plain.Get(0).J != 1 {
+		t.Fatal("plain store broken")
+	}
+
+	encA := BlockEncryptedAlloc(s, newCipher(t), 1)(3)
+	if encA.Len() != 3 {
+		t.Fatalf("sealed Len = %d", encA.Len())
+	}
+	encA.Set(1, Entry{J: 2})
+	if encA.Get(1).J != 2 {
+		t.Fatal("sealed store broken")
+	}
+}
+
+func TestSealedSizeConstant(t *testing.T) {
+	if SealedSize != EncodedSize+crypto.Overhead {
+		t.Fatalf("SealedSize = %d", SealedSize)
+	}
+	// At one entry per block a block is exactly one sealed entry.
+	if got := BlockFootprint(7, 1); got != 7*SealedSize {
+		t.Fatalf("BlockFootprint(7, 1) = %d, want %d", got, 7*SealedSize)
+	}
+}
+
+func TestEncryptedRangeRoundTrip(t *testing.T) {
+	enc := NewBlockEncrypted(memory.NewSpace(nil, nil), newCipher(t), 8, 1)
+	src := make([]Entry, 5)
+	for i := range src {
+		src[i] = Entry{J: uint64(i + 1), TID: 2}
+	}
+	enc.SetRange(2, src)
+	dst := make([]Entry, 5)
+	enc.GetRange(2, dst)
+	for i := range src {
+		if dst[i] != src[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, dst[i], src[i])
+		}
+		if got := enc.Get(2 + i); got != src[i] {
+			t.Fatalf("Get(%d) = %+v, want %+v", 2+i, got, src[i])
+		}
+	}
+}
+
+func TestEncryptedRangeEventsMatchElementLoop(t *testing.T) {
+	c := newCipher(t)
+	run := func(ranged bool) *trace.Log {
+		log := trace.NewLog()
+		enc := NewBlockEncrypted(memory.NewSpace(log, nil), c, 6, 1)
+		src := make([]Entry, 4)
+		if ranged {
+			enc.SetRange(1, src)
+			enc.GetRange(1, make([]Entry, 4))
+		} else {
+			for i := range src {
+				enc.Set(1+i, src[i])
+			}
+			for i := 0; i < 4; i++ {
+				enc.Get(1 + i)
+			}
+		}
+		return log
+	}
+	a, b := run(true), run(false)
+	if !a.Equal(b) {
+		t.Fatalf("range events diverge from element loop at %d", a.FirstDivergence(b))
+	}
+}
+
+// TestEncryptedShard: a shard aliases the parent's ciphertexts and
+// records to its own recorder.
+func TestEncryptedShard(t *testing.T) {
+	parent := trace.NewLog()
+	enc := NewBlockEncrypted(memory.NewSpace(parent, nil), newCipher(t), 4, 1)
+	before := parent.Len()
+	buf := &trace.Buffer{}
+	res := enc.Shard(buf)
+	if res == nil {
+		t.Fatal("Shard refused without a cost model")
+	}
+	sh := res.(*BlockEncrypted)
+	want := entryFixture()
+	sh.Set(3, want)
+	if got := enc.Get(3); got != want {
+		t.Fatal("shard write not visible through parent store")
+	}
+	if buf.Len() != 1 || parent.Len() != before+1 {
+		t.Fatalf("buffered=%d parent-delta=%d, want 1/1", buf.Len(), parent.Len()-before)
+	}
+}
+
+// TestStoreRangeOpsAllocFree: block-sealed stores, at one entry per
+// block and at the default width, must not allocate per range call in steady state (untraced spaces;
 // traced runs append to the recorder, whose growth is the recorder's).
 func TestStoreRangeOpsAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -211,7 +380,7 @@ func TestStoreRangeOpsAllocFree(t *testing.T) {
 		name string
 		st   RangeStore
 	}{
-		{"Encrypted", NewEncrypted(memory.NewSpace(nil, nil), c, n)},
+		{"BlockEncrypted/1", NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 1)},
 		{"BlockEncrypted", NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 0)},
 	} {
 		tc.st.SetRange(3, buf) // warm the scratch pools
@@ -233,7 +402,8 @@ func TestStoreRangeOpsAllocFree(t *testing.T) {
 	}
 }
 
-// ── microbenchmarks: plain vs sealed vs block-sealed range ops ───────
+// ── microbenchmarks: plain vs sealed (one entry per block) vs
+// block-sealed range ops ─────────────────────────────────────────────
 
 func benchStores(b *testing.B) map[string]func() RangeStore {
 	c, _, err := newBenchCipher()
@@ -246,7 +416,7 @@ func benchStores(b *testing.B) map[string]func() RangeStore {
 			return memory.Alloc[Entry](memory.NewSpace(nil, nil), n, EncodedSize)
 		},
 		"sealed": func() RangeStore {
-			return NewEncrypted(memory.NewSpace(nil, nil), c, n)
+			return NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 1)
 		},
 		"block-sealed": func() RangeStore {
 			return NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 0)

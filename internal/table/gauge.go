@@ -236,9 +236,6 @@ func ReleaseStore(g *Gauge, st Store) { g.Release(st) }
 // PlainFootprint is the heap bytes of a plain store of n entries.
 func PlainFootprint(n int) int64 { return int64(n) * EncodedSize }
 
-// EncryptedFootprint is the heap bytes of a per-entry sealed store.
-func EncryptedFootprint(n int) int64 { return int64(n) * SealedSize }
-
 // BlockFootprint is the heap bytes of a block-sealed store with b
 // entries per block (b ≤ 0 selects DefaultSealedBlock).
 func BlockFootprint(n, b int) int64 {
@@ -256,8 +253,6 @@ func Footprint(st Store) int64 {
 	switch s := st.(type) {
 	case *memory.Array[Entry]:
 		return PlainFootprint(s.Len())
-	case *Encrypted:
-		return EncryptedFootprint(s.Len())
 	case *BlockEncrypted:
 		return int64(len(s.st.ct))
 	case *Spill:

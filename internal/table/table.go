@@ -1,7 +1,7 @@
 // Package table defines the database entries the oblivious join operates
 // on, together with their constant-time comparators, fixed-width binary
-// encoding, and storage backends (plain traced memory and encrypted
-// traced memory).
+// encoding, and storage backends (plain traced memory, block-sealed
+// traced memory and its sealed spill-to-disk form).
 //
 // An Entry carries the attributes of §5 of the paper: the join attribute
 // j, the data attribute d, the table identifier tid, the group dimensions
@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"oblivjoin/internal/memory"
 	"oblivjoin/internal/obliv"
 )
 
@@ -282,8 +283,8 @@ type Row struct {
 
 // Store is the storage abstraction the join algorithm reads and writes
 // entries through. Implementations must make element size public and
-// constant; *memory.Array[Entry] (plain) and *Encrypted (sealed) both
-// qualify.
+// constant; *memory.Array[Entry] (plain), *BlockEncrypted (sealed) and
+// *Spill (sealed on disk) all qualify.
 type Store interface {
 	Len() int
 	Get(i int) Entry
@@ -296,9 +297,20 @@ type Store interface {
 // ascending index order. The hot paths (sorting rounds, the linear
 // scans of internal/core) type-assert to it and amortize their
 // per-element overhead per block; plain loops remain the fallback.
-// *memory.Array[Entry] and *Encrypted implement it.
+// *memory.Array[Entry], *BlockEncrypted and *Spill implement it.
 type RangeStore interface {
 	Store
 	GetRange(lo int, dst []Entry)
 	SetRange(lo int, src []Entry)
+}
+
+// Alloc abstracts allocation of entry stores so the join can run over
+// plain or sealed memory without caring which.
+type Alloc func(n int) Store
+
+// PlainAlloc returns an Alloc producing plain traced arrays in s.
+func PlainAlloc(s *memory.Space) Alloc {
+	return func(n int) Store {
+		return memory.Alloc[Entry](s, n, EncodedSize)
+	}
 }

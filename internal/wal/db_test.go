@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oblivjoin/internal/catalog"
@@ -210,6 +212,60 @@ func TestTornTailDiscarded(t *testing.T) {
 	defer db3.Close()
 	if info3.Tail != nil || !db3.Catalog().Has("t2") {
 		t.Fatalf("post-truncation commits lost: info=%+v", info3)
+	}
+}
+
+// TestOldFormatDirRefusedUntouched: testdata/v1 is a data directory
+// written by the format-1 (AES-CTR + HMAC) build — key, one snapshot
+// and a WAL with two commits over it. Opening it, even with
+// DiscardCorruptTail, must fail with ErrFormat naming the unsupported
+// version and must leave every file byte-identical: an old-format log
+// is not a damaged tail to be truncated away.
+func TestOldFormatDirRefusedUntouched(t *testing.T) {
+	src := filepath.Join("testdata", "v1")
+	names := []string{"master.key", snapName(1), walName(1)}
+	dir := t.TempDir()
+	want := map[string][]byte{}
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = b
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, _, err := Open(dir, catalog.New(), Options{DiscardCorruptTail: true})
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("err = %v, want ErrFormat", err)
+	}
+	if !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("err %q does not name the unsupported version", err)
+	}
+
+	// The old log on its own is refused as a fatal error, not a tail.
+	_, _, _, tail, err := ReplayFile(filepath.Join(dir, walName(1)), testCipher(t), func(Record) error { return nil })
+	if tail != nil || !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("replay: tail = %v, err = %v; want no tail and ErrFormat naming version 1", tail, err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(names) {
+		t.Fatalf("data dir holds %d entries after the refused open, want %d", len(entries), len(names))
+	}
+	for _, name := range names {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[name]) {
+			t.Fatalf("%s changed by the refused open", name)
+		}
 	}
 }
 

@@ -112,9 +112,15 @@ func (e *TailError) Unwrap() error { return e.Cause }
 //
 // and sealedRows is ceil(rowCount/16) SealRange blocks of 16 encoded
 // rows each (zero-padded in the final block before sealing).
+//
+// The last magic byte is the format version; it changes whenever the
+// sealing construction does (version 2: AES-GCM). A file of another
+// version is refused with ErrFormat naming its version and left
+// untouched: its records would fail authentication, and must not be
+// mistaken for a damaged tail and truncated.
 const (
-	logMagic  = "OWALLOG1"
-	snapMagic = "OWALSNP1"
+	logMagic  = "OWALLOG2"
+	snapMagic = "OWALSNP2"
 
 	headerLen = 16
 	frameHdr  = 8 // bodyLen + crc
@@ -257,6 +263,10 @@ func writeHeader(f fault.File, magic string, base uint64) error {
 func parseHeader(path, magic string, data []byte) (uint64, error) {
 	if len(data) < headerLen {
 		return 0, &TailError{Path: path, Offset: 0, Index: 0, Cause: ErrTruncated}
+	}
+	if string(data[:7]) == magic[:7] && data[7] != magic[7] {
+		return 0, &TailError{Path: path, Offset: 0, Index: 0,
+			Cause: fmt.Errorf("%w: unsupported format version %c (this build reads version %c)", ErrFormat, data[7], magic[7])}
 	}
 	if string(data[:8]) != magic {
 		return 0, &TailError{Path: path, Offset: 0, Index: 0,

@@ -148,10 +148,10 @@ type Options struct {
 	Encrypted bool
 	// SealedBlock sets the granularity of the sealed store when
 	// Encrypted is on: entries per ciphertext block. 0 selects the
-	// default block store (16 entries per block); 1 selects the
-	// per-entry store; larger values amortize one nonce and MAC over
-	// more entries per crypto operation. The recorded trace is
-	// identical at every granularity.
+	// default width (16 entries per block); 1 = one entry per block;
+	// larger values amortize one nonce and tag over more entries per
+	// crypto operation. The recorded trace is identical at every
+	// granularity.
 	SealedBlock int
 	// CollectStats fills Result.Stats.
 	CollectStats bool
@@ -271,11 +271,7 @@ func Join(left, right *Table, opts *Options) (retRes *Result, retErr error) {
 			if cerr != nil {
 				return nil, fmt.Errorf("oblivjoin: init cipher: %w", cerr)
 			}
-			if opts.SealedBlock == 1 {
-				alloc = table.EncryptedAlloc(sp, cipher)
-			} else {
-				alloc = table.BlockEncryptedAlloc(sp, cipher, opts.SealedBlock)
-			}
+			alloc = table.BlockEncryptedAlloc(sp, cipher, opts.SealedBlock)
 		}
 		cfg := &core.Config{
 			Alloc:         alloc,
